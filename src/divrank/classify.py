@@ -11,13 +11,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .core import RangeOverlapError, SpfSieve, divisor_list_of, parse_rational
-from .scanner import (
-    CHUNK_SIZE_DEFAULT,
-    divisors_from_spf,
-    register_task,
-    run_scan,
-)
+from .core import RangeOverlapError, SpfSieve, divisor_list_of, parse_rational, rank_sums
+from .scanner import CHUNK_SIZE_DEFAULT, register_task, run_scan
 
 
 @dataclass
@@ -46,38 +41,19 @@ def is_index_ratio(n: int, sieve: SpfSieve | None = None) -> bool:
 
 def _gk_chunk(lo, hi, spf, params):
     classes: dict[str, list[int]] = {}
-    for n in range(lo, hi + 1):
-        divs = divisors_from_spf(n, spf)
-        se = sum(divs[1::2])
-        so = sum(divs[0::2])
+    for n, tau, d2, se, so in rank_sums(range(lo, hi + 1), spf):
         g = gcd(se, so)
         classes.setdefault(f"{se // g}/{so // g}", []).append(n)
     return {"classes": classes}
 
 
-def _gk_merge(state, frag):
-    acc = state["classes"]
-    for key, members in frag["classes"].items():
-        acc.setdefault(key, []).extend(members)
-    return state
-
-
 def _irn_chunk(lo, hi, spf, params):
-    members = []
-    for n in range(lo, hi + 1):
-        divs = divisors_from_spf(n, spf)
-        if sum(divs[1::2]) % sum(divs[0::2]) == 0:
-            members.append(n)
-    return {"members": members}
+    return {"members": [n for n, tau, d2, se, so in rank_sums(range(lo, hi + 1), spf)
+                        if se % so == 0]}
 
 
-def _irn_merge(state, frag):
-    state["members"].extend(frag["members"])
-    return state
-
-
-register_task("gk", _gk_chunk, _gk_merge, lambda params: {"classes": {}})
-register_task("irn", _irn_chunk, _irn_merge, lambda params: {"members": []})
+register_task("gk", _gk_chunk)
+register_task("irn", _irn_chunk)
 
 
 def scan_range(lo: int, hi: int, sieve: SpfSieve | None = None, *,

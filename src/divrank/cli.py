@@ -46,17 +46,21 @@ from .theorems import (
 )
 
 ENV_PREFIX = "DIVRANK_"
-DEFAULT_MAX = 100_000
 
-VERIFY_CHECKS = (
-    "upper-bound",
-    "lower-bound",
-    "sigma-bounds",
-    "multiplier",
-    "pairing",
-    "prime-power-distinct",
-    "unit-fraction",
-)
+# check -> (scanner, whether it takes the chunked-scan flags); `scan N` runs conjecture-N
+CHECKS = {
+    "upper-bound": (scan_upper_bound, True),
+    "lower-bound": (scan_lower_bound, True),
+    "sigma-bounds": (scan_sigma_bounds, True),
+    "multiplier": (scan_multiplier, False),
+    "pairing": (scan_pairing, True),
+    "prime-power-distinct": (scan_prime_power_distinct, False),
+    "unit-fraction": (scan_unit_fraction, False),
+    "conjecture-1": (scan_conjecture1, True),
+    "conjecture-2": (scan_conjecture2, True),
+    "conjecture-3": (scan_conjecture3, True),
+}
+VERIFY_CHECKS = tuple(name for name in CHECKS if not name.startswith("conjecture-"))
 
 CSV_PROFILE_COLUMNS = ("n", "tau", "sigma_e", "sigma_o", "k", "is_index_ratio")
 
@@ -144,18 +148,21 @@ def resolve_settings(parser, args):
     return args
 
 
+# values for settings given nowhere; the help strings read them from here
+DEFAULTS = {
+    "max": 100_000,
+    "format": "text",
+    "workers": 1,
+    "chunk_size": CHUNK_SIZE_DEFAULT,
+    "timing": False,
+    "seed": 2,
+    "samples": 500,
+    "k": [],
+}
+
+
 def _fill_defaults(args):
-    defaults = {
-        "max": DEFAULT_MAX,
-        "format": "text",
-        "workers": 1,
-        "chunk_size": CHUNK_SIZE_DEFAULT,
-        "timing": False,
-        "seed": 2,
-        "samples": 500,
-        "k": [],
-    }
-    for name, value in defaults.items():
+    for name, value in DEFAULTS.items():
         if hasattr(args, name) and getattr(args, name) is None:
             setattr(args, name, value)
     return args
@@ -342,72 +349,37 @@ def cmd_profile(args):
     return 0
 
 
+def _chunk_flags(args):
+    return dict(workers=args.workers, chunk_size=args.chunk_size,
+                sieve_limit=args.sieve_limit, checkpoint=args.checkpoint,
+                max_chunks=args.max_chunks)
+
+
 def cmd_table(args):
-    try:
-        table = scan_range(
-            1, args.max,
-            workers=args.workers,
-            chunk_size=args.chunk_size,
-            sieve_limit=args.sieve_limit,
-            checkpoint=args.checkpoint,
-            max_chunks=args.max_chunks,
-        )
-    except ScanInterrupted as exc:
-        print(f"scan paused at n={exc.last_n}; rerun with the same flags to resume "
-              f"from {exc.checkpoint}", file=sys.stderr)
-        return 0
+    table = scan_range(1, args.max, **_chunk_flags(args))
     emit(render_table(table, args.k, args.format), args.out)
     return 0
 
 
-def _report_exit(report, args):
+def _run_check(check, args):
+    scan, chunked = CHECKS[check]
+    if check == "multiplier":  # without --max it keeps scan_multiplier's own n_max
+        n_max = {"n_max": args.max} if args.max_given else {}
+        report = scan(**n_max, samples=args.samples, seed=args.seed)
+    elif chunked:
+        report = scan(args.max, **_chunk_flags(args))
+    else:
+        report = scan(args.max)
     emit(render_report(report, args.format, args.timing), args.out)
     return 1 if report.status == "violated" else 0
 
 
 def cmd_verify(args):
-    common = dict(workers=args.workers, chunk_size=args.chunk_size,
-                  sieve_limit=args.sieve_limit, checkpoint=args.checkpoint,
-                  max_chunks=args.max_chunks)
-    try:
-        if args.check == "upper-bound":
-            report = scan_upper_bound(args.max, **common)
-        elif args.check == "lower-bound":
-            report = scan_lower_bound(args.max, **common)
-        elif args.check == "sigma-bounds":
-            report = scan_sigma_bounds(args.max, **common)
-        elif args.check == "pairing":
-            report = scan_pairing(args.max, **common)
-        elif args.check == "multiplier":
-            n_max = args.max if args.max_given else 1000
-            report = scan_multiplier(n_max=n_max, samples=args.samples, seed=args.seed)
-        elif args.check == "prime-power-distinct":
-            report = scan_prime_power_distinct(args.max)
-        else:
-            report = scan_unit_fraction(args.max)
-    except ScanInterrupted as exc:
-        print(f"scan paused at n={exc.last_n}; rerun with the same flags to resume "
-              f"from {exc.checkpoint}", file=sys.stderr)
-        return 0
-    return _report_exit(report, args)
+    return _run_check(args.check, args)
 
 
 def cmd_scan(args):
-    scanners = {1: scan_conjecture1, 2: scan_conjecture2, 3: scan_conjecture3}
-    try:
-        report = scanners[args.conjecture](
-            args.max,
-            workers=args.workers,
-            chunk_size=args.chunk_size,
-            sieve_limit=args.sieve_limit,
-            checkpoint=args.checkpoint,
-            max_chunks=args.max_chunks,
-        )
-    except ScanInterrupted as exc:
-        print(f"scan paused at n={exc.last_n}; rerun with the same flags to resume "
-              f"from {exc.checkpoint}", file=sys.stderr)
-        return 0
-    return _report_exit(report, args)
+    return _run_check(f"conjecture-{args.conjecture}", args)
 
 
 def cmd_irn(args):
@@ -423,18 +395,18 @@ def cmd_irn(args):
 
 def _add_common(sub, scans=True):
     sub.add_argument("--format", choices=("text", "csv", "json"), default=None,
-                     help="output format (default text)")
+                     help=f"output format (default {DEFAULTS['format']})")
     sub.add_argument("--out", default=None, metavar="FILE",
                      help="write the payload to FILE instead of stdout")
     sub.add_argument("--config", default=None, metavar="FILE",
                      help="key=value file supplying defaults for any flag")
     if scans:
         sub.add_argument("--max", type=positive_int, default=None, metavar="N",
-                         help=f"scan limit (default {DEFAULT_MAX})")
+                         help=f"scan limit (default {DEFAULTS['max']})")
         sub.add_argument("--workers", type=positive_int, default=None, metavar="W",
                          help="worker processes; never changes output bytes")
         sub.add_argument("--chunk-size", type=positive_int, default=None, metavar="C",
-                         help=f"chunk length for range scans (default {CHUNK_SIZE_DEFAULT})")
+                         help=f"chunk length for range scans (default {DEFAULTS['chunk_size']})")
         sub.add_argument("--sieve-limit", type=positive_int, default=None, metavar="N",
                          help="build the smallest-prime-factor table up to N (default: scan limit)")
         sub.add_argument("--checkpoint", default=None, metavar="FILE",
@@ -465,9 +437,9 @@ def build_parser():
     v = subs.add_parser("verify", help="run one theorem suite over [1, max]")
     v.add_argument("check", choices=VERIFY_CHECKS)
     v.add_argument("--seed", type=int, default=None,
-                   help="sample seed for the multiplier check (default 2)")
+                   help=f"sample seed for the multiplier check (default {DEFAULTS['seed']})")
     v.add_argument("--samples", type=positive_int, default=None,
-                   help="sample count for the multiplier check (default 500)")
+                   help=f"sample count for the multiplier check (default {DEFAULTS['samples']})")
     v.add_argument("--timing", action="store_const", const=True, default=None,
                    help="embed wall time in json/csv output (breaks byte determinism)")
     _add_common(v)
@@ -484,7 +456,7 @@ def build_parser():
     i.add_argument("--workers", type=positive_int, default=None, metavar="W")
     _add_common(i, scans=False)
     i.add_argument("--max", type=positive_int, default=None, metavar="N",
-                   help=f"enumeration limit (default {DEFAULT_MAX})")
+                   help=f"enumeration limit (default {DEFAULTS['max']})")
     i.set_defaults(func=cmd_irn)
 
     return parser
@@ -498,6 +470,10 @@ def main(argv=None):
     _fill_defaults(args)
     try:
         return args.func(args)
+    except ScanInterrupted as exc:
+        print(f"scan paused at n={exc.last_n}; rerun with the same flags to resume "
+              f"from {exc.checkpoint}", file=sys.stderr)
+        return 0
     except (CheckpointError, SieveMemoryError, ValueError) as exc:
         print(f"divrank: {exc}", file=sys.stderr)
         return 2

@@ -14,19 +14,38 @@ import multiprocessing
 import os
 from array import array
 
-from .core import CheckpointError, ScanInterrupted, _divisors_from_spf, build_spf_sieve
+from .core import CheckpointError, ScanInterrupted, build_spf_sieve
 
 CHUNK_SIZE_DEFAULT = 1 << 16
 CHECKPOINT_VERSION = 1
 
 # name -> (chunk_fn(lo, hi, spf, params) -> fragment,
 #          merge_fn(state, fragment) -> state,
-#          empty_fn(params) -> state); fragments and state are JSON-safe
+#          empty_fn() -> state); fragments and state are JSON-safe.
+# perfbench/traced_cli.py wraps these triples and reads chunk_fn.__module__.
 _TASKS: dict[str, tuple] = {}
 
 
-def register_task(name, chunk_fn, merge_fn, empty_fn):
-    _TASKS[name] = (chunk_fn, merge_fn, empty_fn)
+def merge_fragments(state, frag):
+    """Fold a chunk's fragment into the running state, in chunk order.
+
+    Ints add, lists extend, and dicts of lists extend per key; the first
+    fragment's values are taken over as they are.
+    """
+    for key, value in frag.items():
+        if key not in state:
+            state[key] = value
+        elif isinstance(value, dict):
+            acc = state[key]
+            for k, members in value.items():
+                acc.setdefault(k, []).extend(members)
+        else:
+            state[key] += value
+    return state
+
+
+def register_task(name, chunk_fn):
+    _TASKS[name] = (chunk_fn, merge_fragments, dict)
 
 
 _LOCAL_SPF: tuple[int, array] | None = None
@@ -114,7 +133,7 @@ def run_scan(task, lo, hi, params=None, *, workers=1, chunk_size=CHUNK_SIZE_DEFA
     chunk_fn, merge_fn, empty_fn = _TASKS[task]
     digest = config_digest(task, lo, hi, chunk_size, sieve_limit, params)
 
-    state = empty_fn(params)
+    state = empty_fn()
     start = lo
     if checkpoint and os.path.exists(checkpoint):
         last_n, state = load_checkpoint(checkpoint, task, digest)
@@ -148,8 +167,3 @@ def run_scan(task, lo, hi, params=None, *, workers=1, chunk_size=CHUNK_SIZE_DEFA
     if checkpoint and os.path.exists(checkpoint):
         os.remove(checkpoint)
     return state
-
-
-def divisors_from_spf(n: int, spf) -> list[int]:
-    """Ascending divisors of n via an SPF table (hot path for chunk tasks)."""
-    return _divisors_from_spf(n, spf)

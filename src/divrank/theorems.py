@@ -19,14 +19,15 @@ from .core import (
     HypothesisViolation,
     Inapplicable,
     SpfSieve,
+    _divisors_from_spf,
     divisor_list_of,
     is_prime,
     next_prime_above,
     primes_upto,
+    rank_sums,
 )
 from .scanner import (
     CHUNK_SIZE_DEFAULT,
-    divisors_from_spf,
     effective_sieve_limit,
     register_task,
     run_scan,
@@ -43,7 +44,21 @@ PAIRING_ALPHA_GRID = (-2, -1, 0, 1, 2, 3)
 
 @dataclass
 class ScanReport:
-    """Outcome of one range check: verified, violated, or inapplicable."""
+    """Outcome of one range check: verified, violated, or inapplicable.
+
+    `applicable` counts what the check tested:
+    - upper-bound, sigma-bounds: the non-squares n in [2, hi];
+    - lower-bound: the perfect squares n in [4, hi];
+    - pairing: the n with prime integer k and tau(n) <= 8;
+    - conjecture-1: the n >= 2 with integer k;
+    - conjecture-2: the n with prime integer k;
+    - conjecture-3: the distinct k classes among n = 1 and the squares, not
+      the n checked (314 classes for the 316 such n up to 10^5). A class held
+      by several n is one violation whose `n` is its second member; the full
+      member list appears only in the `actual` text;
+    - multiplier: the samples drawn;
+    - prime-power-distinct, unit-fraction: the prime powers p^a, a even, in [4, hi].
+    """
 
     check: str
     lo: int
@@ -302,15 +317,10 @@ def check_unit_fraction_gap(p: int, l: int) -> bool:
 def _upper_bound_chunk(lo, hi, spf, params):
     violations = []
     applicable = 0
-    for n in range(max(lo, 2), hi + 1):
-        r = isqrt(n)
-        if r * r == n:
+    for n, tau, d2, se, so in rank_sums(range(max(lo, 2), hi + 1), spf):
+        if tau % 2:  # tau is odd exactly for perfect squares
             continue
         applicable += 1
-        divs = divisors_from_spf(n, spf)
-        se = sum(divs[1::2])
-        so = sum(divs[0::2])
-        d2 = divs[1]
         if se * d2 >= so * (d2 * d2 + 1):
             violations.append({
                 "n": n,
@@ -320,16 +330,16 @@ def _upper_bound_chunk(lo, hi, spf, params):
     return {"violations": violations, "applicable": applicable}
 
 
+def _squares(lo, hi):
+    """The perfect squares in [lo, hi], ascending."""
+    return (r * r for r in range(isqrt(lo - 1) + 1, isqrt(hi) + 1))
+
+
 def _lower_bound_chunk(lo, hi, spf, params):
     violations = []
     applicable = 0
-    for r in range(max(isqrt(lo - 1) + 1, 2), isqrt(hi) + 1):
-        n = r * r
+    for n, tau, d2, se, so in rank_sums(_squares(max(lo, 4), hi), spf):
         applicable += 1
-        divs = divisors_from_spf(n, spf)
-        se = sum(divs[1::2])
-        so = sum(divs[0::2])
-        d2 = divs[1]
         lhs = se * (d2 * d2 + 1)
         rhs = so * d2
         if lhs < rhs:
@@ -338,12 +348,12 @@ def _lower_bound_chunk(lo, hi, spf, params):
                 "expected": f"k >= {d2}/{d2 * d2 + 1}",
                 "actual": f"k={se}/{so}",
             })
-        elif (lhs == rhs) != (len(divs) == 3):
+        elif (lhs == rhs) != (tau == 3):
             why = "equality" if lhs == rhs else "strict inequality"
             violations.append({
                 "n": n,
                 "expected": "equality exactly when n is a prime squared",
-                "actual": f"{why} with tau={len(divs)}",
+                "actual": f"{why} with tau={tau}",
             })
     return {"violations": violations, "applicable": applicable}
 
@@ -352,24 +362,19 @@ def _sigma_bounds_chunk(lo, hi, spf, params):
     violations = []
     tau4_failures = []
     applicable = 0
-    for n in range(max(lo, 2), hi + 1):
-        r = isqrt(n)
-        if r * r == n:
+    for n, tau, d2, se, so in rank_sums(range(max(lo, 2), hi + 1), spf):
+        if tau % 2:  # tau is odd exactly for perfect squares
             continue
         applicable += 1
-        divs = divisors_from_spf(n, spf)
-        tau = len(divs)
-        se = sum(divs[1::2])
-        so = sum(divs[0::2])
-        rec = sum(n // d for d in divs[1::2])  # n * sigma_{e,-1}, exact
+        # so is n * sigma_{e,-1}: with tau even, n/d_i = d_{tau+1-i} maps even ranks onto odd
         bad = []
         if tau - 2 + n > se:
             bad.append("sigma_e_lower")
         if 4 * se > (tau + 2) * n:
             bad.append("sigma_e_upper")
-        if 4 * rec > (tau - 2) * n + 4:
+        if 4 * so > (tau - 2) * n + 4:
             bad.append("reciprocal_lower")
-        if rec < tau - 1:
+        if so < tau - 1:
             bad.append("reciprocal_upper")
         if 4 * (tau - 2 + n) * so > ((tau - 2) * n + 4) * se:
             bad.append("combined_lower")
@@ -395,19 +400,18 @@ def _pairing_chunk(lo, hi, spf, params):
     applicable = 0
     limit = len(spf) - 1
     tau_cap = params.get("tau_cap")
-    for n in range(max(lo, 2), hi + 1):
-        divs = divisors_from_spf(n, spf)
-        se = sum(divs[1::2])
-        so = sum(divs[0::2])
+    for n, tau, d2, se, so in rank_sums(range(max(lo, 2), hi + 1), spf):
         if se % so:
             continue
         p = se // so
         if p < 2 or not (spf[p] == p if p <= limit else is_prime(p)):
             continue
-        if tau_cap is not None and len(divs) > tau_cap:
+        if tau_cap is not None and tau > tau_cap:
             continue
         applicable += 1
-        if any(divs[i + 1] != p * divs[i] for i in range(0, len(divs), 2)):
+        # only prime-k candidates need the divisor list itself
+        divs = _divisors_from_spf(n, spf)
+        if any(divs[i + 1] != p * divs[i] for i in range(0, tau, 2)):
             violations.append({
                 "n": n,
                 "expected": f"d_2j = {p} d_2j-1 for all j",
@@ -435,15 +439,11 @@ def _pairing_chunk(lo, hi, spf, params):
 def _conjecture1_chunk(lo, hi, spf, params):
     violations = []
     applicable = 0
-    for n in range(max(lo, 2), hi + 1):
-        divs = divisors_from_spf(n, spf)
-        se = sum(divs[1::2])
-        so = sum(divs[0::2])
+    for n, tau, d2, se, so in rank_sums(range(max(lo, 2), hi + 1), spf):
         if se % so:
             continue
         applicable += 1
         k = se // so
-        d2 = divs[1]
         if k != d2:
             violations.append({
                 "n": n, "expected": f"k = d_2 = {d2}", "actual": f"k={k}",
@@ -452,7 +452,7 @@ def _conjecture1_chunk(lo, hi, spf, params):
             violations.append({
                 "n": n, "expected": "even index ratio numbers have k = 2", "actual": f"k={k}",
             })
-        if n % 2 and len(divs) % 4 == 2 and n % 3 == 0 and k != 3:
+        if n % 2 and tau % 4 == 2 and n % 3 == 0 and k != 3:
             violations.append({
                 "n": n,
                 "expected": "odd n with tau = 2 mod 4 and 3 | n has k = 3",
@@ -464,47 +464,22 @@ def _conjecture1_chunk(lo, hi, spf, params):
 def _conjecture3_chunk(lo, hi, spf, params):
     # domain: n = 1 and the perfect squares, the only integers with k < 1
     seen: dict[str, list[int]] = {}
-    for r in range(isqrt(lo - 1) + 1, isqrt(hi) + 1):
-        n = r * r
-        divs = divisors_from_spf(n, spf)
-        se = sum(divs[1::2])
-        so = sum(divs[0::2])
+    for n, tau, d2, se, so in rank_sums(_squares(lo, hi), spf):
         g = gcd(se, so)
         seen.setdefault(f"{se // g}/{so // g}", []).append(n)
     return {"seen": seen}
 
 
-def _conjecture3_merge(state, frag):
-    acc = state["seen"]
-    for key, members in frag["seen"].items():
-        acc.setdefault(key, []).extend(members)
-    return state
-
-
-def _violations_merge(state, frag):
-    state["violations"].extend(frag["violations"])
-    state["applicable"] += frag["applicable"]
-    if "tau4_failures" in frag:
-        state.setdefault("tau4_failures", []).extend(frag["tau4_failures"])
-    return state
-
-
-def _violations_empty(params):
-    return {"violations": [], "applicable": 0}
-
-
-register_task("upper_bound", _upper_bound_chunk, _violations_merge, _violations_empty)
-register_task("lower_bound", _lower_bound_chunk, _violations_merge, _violations_empty)
-register_task("sigma_bounds", _sigma_bounds_chunk, _violations_merge,
-              lambda params: {"violations": [], "applicable": 0, "tau4_failures": []})
-register_task("pairing", _pairing_chunk, _violations_merge, _violations_empty)
-register_task("conjecture1", _conjecture1_chunk, _violations_merge, _violations_empty)
-register_task("conjecture3", _conjecture3_chunk, _conjecture3_merge,
-              lambda params: {"seen": {}})
+register_task("upper_bound", _upper_bound_chunk)
+register_task("lower_bound", _lower_bound_chunk)
+register_task("sigma_bounds", _sigma_bounds_chunk)
+register_task("pairing", _pairing_chunk)
+register_task("conjecture1", _conjecture1_chunk)
+register_task("conjecture3", _conjecture3_chunk)
 
 
 # conjecture 2 is the pairing sweep with no tau cap; share the chunk task
-register_task("conjecture2", _pairing_chunk, _violations_merge, _violations_empty)
+register_task("conjecture2", _pairing_chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +610,7 @@ def scan_multiplier(n_max: int = 1000, samples: int = 500, exponents=(1, 2, 3),
     return _finish("multiplier", 2, n_max, violations, samples, config, [], t0)
 
 
-def check_prime_power_distinct(limit: int) -> ScanReport:
+def scan_prime_power_distinct(limit: int) -> ScanReport:
     """k(p^a) pairwise distinct over even a >= 2 with p^a <= limit."""
     if limit < 4:
         raise ValueError(f"need limit >= 4, got {limit}")
@@ -660,9 +635,6 @@ def check_prime_power_distinct(limit: int) -> ScanReport:
             a += 2
     config = {"check": "prime-power-distinct", "lo": 4, "hi": limit}
     return _finish("prime-power-distinct", 4, limit, violations, applicable, config, [], t0)
-
-
-scan_prime_power_distinct = check_prime_power_distinct
 
 
 def scan_unit_fraction(limit: int) -> ScanReport:

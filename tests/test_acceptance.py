@@ -29,7 +29,6 @@ from math import isqrt
 import pytest
 
 from divrank import (
-    check_prime_power_distinct,
     check_upper_bound_optimality,
     cli,
     enumerate_index_ratio,
@@ -43,6 +42,7 @@ from divrank import (
     scan_conjecture3,
     scan_lower_bound,
     scan_pairing,
+    scan_prime_power_distinct,
     scan_unit_fraction,
     scan_upper_bound,
 )
@@ -168,7 +168,7 @@ class TestCriterion4TheoremSuites:
         t0 = time.perf_counter()
         upper = scan_upper_bound(1_000_000, workers=4)
         lower = scan_lower_bound(1_000_000, workers=4)
-        distinct = check_prime_power_distinct(1_000_000)
+        distinct = scan_prime_power_distinct(1_000_000)
         gap = scan_unit_fraction(1_000_000)
         elapsed = time.perf_counter() - t0
         ok = all(r.status == "verified" and not r.violations

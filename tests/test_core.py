@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from divrank import (
     parse_rational,
     rational_of,
 )
+from divrank.core import rank_sums
 from conftest import ORACLE_LIMIT, oracle_divisors, oracle_factorize
 
 
@@ -111,6 +113,47 @@ class TestDivisorsSorted:
     @settings(max_examples=80, deadline=None)
     def test_matches_oracle(self, n):
         assert divisors_sorted(factorize(n)) == oracle_divisors(n)
+
+
+def _oracle_rank_sums(ns, div_lists):
+    # d_2 does not exist at n = 1, so it is left out of the comparison there
+    rows = []
+    for n in ns:
+        d = div_lists[n]
+        rows.append((n, len(d), d[1] if n > 1 else None, sum(d[1::2]), sum(d[0::2])))
+    return rows
+
+
+def _kernel(ns, sieve):
+    return [(n, tau, d2 if n > 1 else None, se, so)
+            for n, tau, d2, se, so in rank_sums(ns, sieve._table)]
+
+
+windows = st.integers(min_value=1, max_value=ORACLE_LIMIT).flatmap(
+    lambda lo: st.tuples(st.just(lo), st.integers(min_value=lo, max_value=ORACLE_LIMIT)))
+
+
+class TestRankSums:
+    @given(st.integers(min_value=1, max_value=ORACLE_LIMIT),
+           st.integers(min_value=0, max_value=1500))
+    @settings(max_examples=60, deadline=None)
+    def test_window_matches_oracle(self, oracle_div_lists, sieve_10k, lo, width):
+        ns = range(lo, min(lo + width, ORACLE_LIMIT) + 1)
+        assert _kernel(ns, sieve_10k) == _oracle_rank_sums(ns, oracle_div_lists)
+
+    @given(windows)
+    @settings(max_examples=60, deadline=None)
+    def test_squares_match_oracle(self, oracle_div_lists, sieve_10k, window):
+        lo, hi = window
+        squares = [r * r for r in range(isqrt(lo - 1) + 1, isqrt(hi) + 1)]
+        assert _kernel(iter(squares), sieve_10k) == _oracle_rank_sums(squares, oracle_div_lists)
+
+    def test_reciprocal_sum_is_odd_rank_sum_for_non_squares(self, oracle_div_lists):
+        # n/d_i = d_{tau+1-i} maps even ranks onto odd ones when tau is even
+        for n in range(2, ORACLE_LIMIT + 1):
+            d = oracle_div_lists[n]
+            if len(d) % 2 == 0:
+                assert sum(n // e for e in d[1::2]) == sum(d[0::2]), n
 
 
 class TestRational:

@@ -11,7 +11,6 @@ from divrank import (
     check_multiplier,
     check_multiplier_chain,
     check_pairing,
-    check_prime_power_distinct,
     check_sigma_bounds,
     check_unit_fraction_gap,
     check_upper_bound,
@@ -26,6 +25,7 @@ from divrank import (
     scan_lower_bound,
     scan_multiplier,
     scan_pairing,
+    scan_prime_power_distinct,
     scan_sigma_bounds,
     scan_unit_fraction,
     scan_upper_bound,
@@ -258,12 +258,12 @@ class TestExtendWithPrime:
 
 class TestPrimePowerDistinct:
     def test_to_100(self):
-        report = check_prime_power_distinct(100)
+        report = scan_prime_power_distinct(100)
         assert report.status == "verified"
         assert report.applicable == 7    # 4, 16, 64, 9, 81, 25, 49
 
     def test_vacuous_at_4(self):
-        report = check_prime_power_distinct(4)
+        report = scan_prime_power_distinct(4)
         assert report.status == "verified"
         assert report.applicable == 1
 
@@ -274,7 +274,7 @@ class TestPrimePowerDistinct:
 
     def test_rejects_small_limit(self):
         with pytest.raises(ValueError):
-            check_prime_power_distinct(3)
+            scan_prime_power_distinct(3)
 
 
 class TestUnitFractionGap:
