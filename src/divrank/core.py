@@ -220,12 +220,12 @@ def _divisors_from_spf(n: int, spf) -> list[int]:
     m = n
     while m > 1:
         p = spf[m]
-        base = len(divs)
+        base = divs
         pk = 1
         while m % p == 0:
             m //= p
             pk *= p
-            divs.extend(d * pk for d in divs[:base])
+            divs = divs + [d * pk for d in base]
     divs.sort()
     return divs
 
@@ -235,22 +235,9 @@ def rank_sums(ns, spf):
 
     The one kernel behind every range scan: sigma_e/sigma_o sum the divisors of
     even/odd rank, and d_2 = spf[n] (1 at n = 1, which has no second divisor).
-    It expands the divisors itself: list concatenation runs about 20% faster
-    on CPython 3.11 than _divisors_from_spf's generator extend, which stays
-    the reference that the single-n checks use.
     """
     for n in ns:
-        divs = [1]
-        m = n
-        while m > 1:
-            p = spf[m]
-            base = divs
-            pk = 1
-            while m % p == 0:
-                m //= p
-                pk *= p
-                divs = divs + [d * pk for d in base]
-        divs.sort()
+        divs = _divisors_from_spf(n, spf)
         yield n, len(divs), spf[n], sum(divs[1::2]), sum(divs[0::2])
 
 

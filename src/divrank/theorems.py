@@ -400,18 +400,21 @@ def _pairing_chunk(lo, hi, spf, params):
     applicable = 0
     limit = len(spf) - 1
     tau_cap = params.get("tau_cap")
-    for n, tau, d2, se, so in rank_sums(range(max(lo, 2), hi + 1), spf):
+    # prime-k candidates (primes, pq, p^3, ...) are most n and need the divisor
+    # list itself, so this one task expands it directly instead of via rank_sums
+    for n in range(max(lo, 2), hi + 1):
+        divs = _divisors_from_spf(n, spf)
+        se = sum(divs[1::2])
+        so = sum(divs[0::2])
         if se % so:
             continue
         p = se // so
         if p < 2 or not (spf[p] == p if p <= limit else is_prime(p)):
             continue
-        if tau_cap is not None and tau > tau_cap:
+        if tau_cap is not None and len(divs) > tau_cap:
             continue
         applicable += 1
-        # only prime-k candidates need the divisor list itself
-        divs = _divisors_from_spf(n, spf)
-        if any(divs[i + 1] != p * divs[i] for i in range(0, tau, 2)):
+        if any(divs[i + 1] != p * divs[i] for i in range(0, len(divs), 2)):
             violations.append({
                 "n": n,
                 "expected": f"d_2j = {p} d_2j-1 for all j",
