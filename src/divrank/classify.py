@@ -41,14 +41,14 @@ def is_index_ratio(n: int, sieve: SpfSieve | None = None) -> bool:
 
 def _gk_chunk(lo, hi, spf, params):
     classes: dict[str, list[int]] = {}
-    for n, tau, d2, se, so in rank_sums(range(lo, hi + 1), spf):
+    for n, tau, d2, se, so, paired in rank_sums(range(lo, hi + 1), spf):
         g = gcd(se, so)
         classes.setdefault(f"{se // g}/{so // g}", []).append(n)
     return {"classes": classes}
 
 
 def _irn_chunk(lo, hi, spf, params):
-    return {"members": [n for n, tau, d2, se, so in rank_sums(range(lo, hi + 1), spf)
+    return {"members": [n for n, tau, d2, se, so, paired in rank_sums(range(lo, hi + 1), spf)
                         if se % so == 0]}
 
 

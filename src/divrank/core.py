@@ -1,7 +1,8 @@
 """Exact integer substrate: factorization, SPF sieve, ordered divisors, rationals.
 
 All arithmetic uses Python's arbitrary-precision integers, so divisor sums
-can never overflow or wrap. Rationals are stdlib ``fractions.Fraction``,
+can never overflow or wrap; the one exception, the block rank-sum kernel,
+uses int64 only for n < 2**31, where no value it holds can reach 2**63. Rationals are stdlib ``fractions.Fraction``,
 which is always in canonical reduced form with a positive denominator and
 renders as "num/den" (eliding "/1").
 """
@@ -215,7 +216,7 @@ def build_spf_sieve(limit: int, memory_budget: int = DEFAULT_SIEVE_MEMORY_BYTES)
 
 
 def _divisors_from_spf(n: int, spf) -> list[int]:
-    # hot path for range scans: factor via the table, expand, sort
+    # factor via the table, expand, sort; rank_sums' per-n path for non-range inputs
     divs = [1]
     m = n
     while m > 1:
@@ -230,15 +231,89 @@ def _divisors_from_spf(n: int, spf) -> list[int]:
     return divs
 
 
+_BLOCK = 8192  # rows converted to Python ints at a time: bounds the kernel's int lists
+
+
 def rank_sums(ns, spf):
-    """(n, tau, d_2, sigma_e, sigma_o) for each n of `ns`, every n <= the table's limit.
+    """(n, tau, d_2, sigma_e, sigma_o, paired) for each n of `ns`, every n <= the table's limit.
 
     The one kernel behind every range scan: sigma_e/sigma_o sum the divisors of
-    even/odd rank, and d_2 = spf[n] (1 at n = 1, which has no second divisor).
+    even/odd rank, d_2 = spf[n] (1 at n = 1, which has no second divisor), and
+    `paired` says d_2j = d_2 d_2j-1 for every j (never for a square). A `range`
+    goes through the block walk over small divisors; any other iterable (the
+    squares of the lower-bound and conjecture-3 scans) expands each n's list.
     """
+    if isinstance(ns, range) and ns.step == 1:
+        table = np.asarray(spf)
+        # the walk makes about 16 numpy calls per d <= isqrt(hi), so a block of
+        # 16 isqrt(hi) n or more keeps that overhead near one call per n
+        width = max(_BLOCK, 16 * isqrt(max(ns.stop - 1, 0)))
+        for a in range(ns.start, ns.stop, width):
+            yield from _block_rank_sums(a, min(a + width, ns.stop) - 1, table)
+        return
     for n in ns:
         divs = _divisors_from_spf(n, spf)
-        yield n, len(divs), spf[n], sum(divs[1::2]), sum(divs[0::2])
+        tau = len(divs)
+        paired = tau % 2 == 0 and all(divs[i + 1] == spf[n] * divs[i] for i in range(0, tau, 2))
+        yield n, tau, spf[n], sum(divs[1::2]), sum(divs[0::2]), paired
+
+
+def _block_rank_sums(a, b, spf):
+    """rank_sums rows for [a, b] from one ascending walk over d <= isqrt(b).
+
+    Each d updates the n it divides with d^2 <= n, so every n sees its small
+    divisors in rank order c = 1, 2, ... The large divisor n/d_c has rank
+    tau + 1 - c, so once tau = 2c - [n square] is known, the signed sums
+    S1 = sum (-1)^(c+1) d and S2 = sum (-1)^(c+1) n/d give
+    sigma_o - sigma_e = S1 - S2 (tau even) or S1 + S2 (tau odd). Pairing only
+    needs the small half: n/d maps pair (2j-1, 2j) onto (tau+1-2j, tau+2-2j)
+    with the same ratio, and the middle pair of tau = 2 mod 4 is n = d_2 d_c^2.
+    """
+    if b >= 2**31:
+        raise ValueError(f"block kernel covers n < 2**31, got {b}")
+    # int64 is exact below 2**31: sigma(n) < 2**37 and d_2 d_c^2 <= n^2 < 2**62
+    w = b - a + 1
+    d2 = spf[a : b + 1].astype(np.int64)
+    count = np.zeros(w, dtype=np.int64)
+    sign = np.ones(w, dtype=np.int64)
+    s1 = np.zeros(w, dtype=np.int64)
+    s2 = np.zeros(w, dtype=np.int64)
+    total = np.zeros(w, dtype=np.int64)
+    last = np.ones(w, dtype=np.int64)
+    paired = np.ones(w, dtype=bool)
+    for d in range(1, isqrt(b) + 1):
+        first = -(-max(a, d * d) // d) * d
+        if first > b:
+            continue
+        view = slice(first - a, w, d)
+        q = np.arange(first // d, b // d + 1, dtype=np.int64)
+        g = sign[view]
+        s1[view] += g * d
+        s2[view] += g * q
+        total[view] += q + d
+        count[view] += 1
+        # g = -1 marks an even rank c: d_c must be d_2 d_(c-1)
+        paired[view] &= (g > 0) | (d2[view] * last[view] == d)
+        last[view] = d
+        g *= -1  # g is a view: this flips sign[view] for the next rank
+    roots = np.arange(isqrt(a - 1) + 1, isqrt(b) + 1, dtype=np.int64)
+    at = roots * roots - a
+    square = np.zeros(w, dtype=bool)
+    square[at] = True
+    # the root was also counted as its own complement; sign[at] is minus its sign
+    s2[at] += sign[at] * roots
+    total[at] -= roots
+    tau = 2 * count - square
+    diff = np.where(square, s1 + s2, s1 - s2)
+    middle = (tau % 4 == 2) & (d2 * last * last != np.arange(a, b + 1, dtype=np.int64))
+    paired &= ~square & ~middle
+    sigma_e = (total - diff) // 2
+    sigma_o = (total + diff) // 2
+    for i in range(0, w, _BLOCK):
+        rows = slice(i, i + _BLOCK)
+        yield from zip(range(a + i, min(a + i + _BLOCK, b + 1)), tau[rows].tolist(),
+                       d2[rows].tolist(), sigma_e[rows].tolist(), sigma_o[rows].tolist(),
+                       paired[rows].tolist())
 
 
 def divisors_sorted(f: Factorization) -> list[int]:

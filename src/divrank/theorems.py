@@ -317,7 +317,7 @@ def check_unit_fraction_gap(p: int, l: int) -> bool:
 def _upper_bound_chunk(lo, hi, spf, params):
     violations = []
     applicable = 0
-    for n, tau, d2, se, so in rank_sums(range(max(lo, 2), hi + 1), spf):
+    for n, tau, d2, se, so, paired in rank_sums(range(max(lo, 2), hi + 1), spf):
         if tau % 2:  # tau is odd exactly for perfect squares
             continue
         applicable += 1
@@ -338,7 +338,7 @@ def _squares(lo, hi):
 def _lower_bound_chunk(lo, hi, spf, params):
     violations = []
     applicable = 0
-    for n, tau, d2, se, so in rank_sums(_squares(max(lo, 4), hi), spf):
+    for n, tau, d2, se, so, paired in rank_sums(_squares(max(lo, 4), hi), spf):
         applicable += 1
         lhs = se * (d2 * d2 + 1)
         rhs = so * d2
@@ -362,7 +362,7 @@ def _sigma_bounds_chunk(lo, hi, spf, params):
     violations = []
     tau4_failures = []
     applicable = 0
-    for n, tau, d2, se, so in rank_sums(range(max(lo, 2), hi + 1), spf):
+    for n, tau, d2, se, so, paired in rank_sums(range(max(lo, 2), hi + 1), spf):
         if tau % 2:  # tau is odd exactly for perfect squares
             continue
         applicable += 1
@@ -400,37 +400,34 @@ def _pairing_chunk(lo, hi, spf, params):
     applicable = 0
     limit = len(spf) - 1
     tau_cap = params.get("tau_cap")
-    # prime-k candidates (primes, pq, p^3, ...) are most n and need the divisor
-    # list itself, so this one task expands it directly instead of via rank_sums
-    for n in range(max(lo, 2), hi + 1):
-        divs = _divisors_from_spf(n, spf)
-        se = sum(divs[1::2])
-        so = sum(divs[0::2])
+    for n, tau, d2, se, so, paired in rank_sums(range(max(lo, 2), hi + 1), spf):
         if se % so:
             continue
         p = se // so
         if p < 2 or not (spf[p] == p if p <= limit else is_prime(p)):
             continue
-        if tau_cap is not None and len(divs) > tau_cap:
+        if tau_cap is not None and tau > tau_cap:
             continue
         applicable += 1
-        if any(divs[i + 1] != p * divs[i] for i in range(0, len(divs), 2)):
+        if not (paired and p == d2):  # d_2j = p d_2j-1 for all j, j = 1 included
             violations.append({
                 "n": n,
                 "expected": f"d_2j = {p} d_2j-1 for all j",
-                "actual": f"divisors {divs}",
+                "actual": f"divisors {_divisors_from_spf(n, spf)}",
             })
             continue
         if params.get("power_identity"):
+            divs = _divisors_from_spf(n, spf)
             for alpha in PAIRING_ALPHA_GRID:
-                if alpha >= 0:
-                    ea = sum(d**alpha for d in divs[1::2])
-                    oa = sum(d**alpha for d in divs[0::2])
-                else:
-                    a = -alpha
-                    ea = Fraction(sum((n // d) ** a for d in divs[1::2]), n**a)
-                    oa = Fraction(sum((n // d) ** a for d in divs[0::2]), n**a)
-                if ea != Fraction(p) ** alpha * oa:
+                a = abs(alpha)
+                # alpha < 0: sigma_{x,alpha} = sum (n/d)^a / n^a, so compare numerators
+                terms = [d**a if alpha >= 0 else (n // d) ** a for d in divs]
+                ea = sum(terms[1::2])
+                oa = sum(terms[0::2])
+                held = ea == p**a * oa if alpha >= 0 else ea * p**a == oa
+                if not held:
+                    if alpha < 0:
+                        ea, oa = Fraction(ea, n**a), Fraction(oa, n**a)
                     violations.append({
                         "n": n,
                         "expected": f"sigma_e,{alpha} = {p}^{alpha} sigma_o,{alpha}",
@@ -442,7 +439,7 @@ def _pairing_chunk(lo, hi, spf, params):
 def _conjecture1_chunk(lo, hi, spf, params):
     violations = []
     applicable = 0
-    for n, tau, d2, se, so in rank_sums(range(max(lo, 2), hi + 1), spf):
+    for n, tau, d2, se, so, paired in rank_sums(range(max(lo, 2), hi + 1), spf):
         if se % so:
             continue
         applicable += 1
@@ -467,7 +464,7 @@ def _conjecture1_chunk(lo, hi, spf, params):
 def _conjecture3_chunk(lo, hi, spf, params):
     # domain: n = 1 and the perfect squares, the only integers with k < 1
     seen: dict[str, list[int]] = {}
-    for n, tau, d2, se, so in rank_sums(_squares(lo, hi), spf):
+    for n, tau, d2, se, so, paired in rank_sums(_squares(lo, hi), spf):
         g = gcd(se, so)
         seen.setdefault(f"{se // g}/{so // g}", []).append(n)
     return {"seen": seen}

@@ -16,6 +16,7 @@ from divrank import (
     parse_rational,
     rational_of,
 )
+from divrank import core
 from divrank.core import rank_sums
 from conftest import ORACLE_LIMIT, oracle_divisors, oracle_factorize
 
@@ -115,18 +116,23 @@ class TestDivisorsSorted:
         assert divisors_sorted(factorize(n)) == oracle_divisors(n)
 
 
+def _oracle_pairing(d):
+    return len(d) % 2 == 0 and all(d[j + 1] == d[1] * d[j] for j in range(0, len(d), 2))
+
+
 def _oracle_rank_sums(ns, div_lists):
     # d_2 does not exist at n = 1, so it is left out of the comparison there
     rows = []
     for n in ns:
         d = div_lists[n]
-        rows.append((n, len(d), d[1] if n > 1 else None, sum(d[1::2]), sum(d[0::2])))
+        rows.append((n, len(d), d[1] if n > 1 else None, sum(d[1::2]), sum(d[0::2]),
+                     _oracle_pairing(d)))
     return rows
 
 
 def _kernel(ns, sieve):
-    return [(n, tau, d2 if n > 1 else None, se, so)
-            for n, tau, d2, se, so in rank_sums(ns, sieve._table)]
+    return [(n, tau, d2 if n > 1 else None, se, so, paired)
+            for n, tau, d2, se, so, paired in rank_sums(ns, sieve._table)]
 
 
 windows = st.integers(min_value=1, max_value=ORACLE_LIMIT).flatmap(
@@ -147,6 +153,28 @@ class TestRankSums:
         lo, hi = window
         squares = [r * r for r in range(isqrt(lo - 1) + 1, isqrt(hi) + 1)]
         assert _kernel(iter(squares), sieve_10k) == _oracle_rank_sums(squares, oracle_div_lists)
+
+    @pytest.mark.parametrize("as_input", [lambda ns: ns, iter], ids=["block", "per-n"])
+    def test_every_n_in_one_call(self, oracle_div_lists, sieve_10k, as_input):
+        # one range of 10^4 crosses the boundary between the walk's 8192-n blocks
+        assert ORACLE_LIMIT > core._BLOCK
+        ns = range(1, ORACLE_LIMIT + 1)
+        assert _kernel(as_input(ns), sieve_10k) == _oracle_rank_sums(ns, oracle_div_lists)
+
+    def test_far_window_matches_divisor_expansion(self):
+        # one walk block of 2^14 n, converted to Python ints in two parts
+        hi = 2**24 - 1
+        table = build_spf_sieve(hi)._table
+        ns = range(hi - 2**14 + 1, hi + 1)
+        expected = []
+        for n in ns:
+            d = core._divisors_from_spf(n, table)
+            expected.append((n, len(d), d[1], sum(d[1::2]), sum(d[0::2]), _oracle_pairing(d)))
+        assert list(rank_sums(ns, table)) == expected
+
+    def test_refuses_n_beyond_int32(self, sieve_10k):
+        with pytest.raises(ValueError):
+            list(rank_sums(range(2**31 - 2, 2**31 + 1), sieve_10k._table))
 
     def test_reciprocal_sum_is_odd_rank_sum_for_non_squares(self, oracle_div_lists):
         # n/d_i = d_{tau+1-i} maps even ranks onto odd ones when tau is even
