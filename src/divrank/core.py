@@ -1,10 +1,11 @@
 """Exact integer substrate: factorization, SPF sieve, ordered divisors, rationals.
 
 All arithmetic uses Python's arbitrary-precision integers, so divisor sums
-can never overflow or wrap; the one exception, the block rank-sum kernel,
-uses int64 only for n < 2**31, where no value it holds can reach 2**63. Rationals are stdlib ``fractions.Fraction``,
-which is always in canonical reduced form with a positive denominator and
-renders as "num/den" (eliding "/1").
+can never overflow or wrap. The one exception is the block rank-sum kernel,
+which works in int64 only for n < 2**31, where none of its values can reach
+2**63. Rationals are stdlib ``fractions.Fraction``, which is always in
+canonical reduced form with a positive denominator and renders as "num/den"
+(eliding "/1").
 """
 
 from __future__ import annotations
@@ -216,7 +217,7 @@ def build_spf_sieve(limit: int, memory_budget: int = DEFAULT_SIEVE_MEMORY_BYTES)
 
 
 def _divisors_from_spf(n: int, spf) -> list[int]:
-    # factor via the table, expand, sort; rank_sums' per-n path for non-range inputs
+    # factor via the table, expand, sort
     divs = [1]
     m = n
     while m > 1:
