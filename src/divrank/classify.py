@@ -39,16 +39,16 @@ def is_index_ratio(n: int, sieve: SpfSieve | None = None) -> bool:
     return sum(divs[1::2]) % sum(divs[0::2]) == 0
 
 
-def _gk_chunk(lo, hi, spf, params):
+def _gk_chunk(lo, hi, params):
     classes: dict[str, list[int]] = {}
-    for n, tau, d2, se, so, paired in rank_sums(range(lo, hi + 1), spf):
+    for n, tau, d2, se, so, paired in rank_sums(range(lo, hi + 1)):
         g = gcd(se, so)
         classes.setdefault(f"{se // g}/{so // g}", []).append(n)
     return {"classes": classes}
 
 
-def _irn_chunk(lo, hi, spf, params):
-    return {"members": [n for n, tau, d2, se, so, paired in rank_sums(range(lo, hi + 1), spf)
+def _irn_chunk(lo, hi, params):
+    return {"members": [n for n, tau, d2, se, so, paired in rank_sums(range(lo, hi + 1))
                         if se % so == 0]}
 
 
@@ -56,9 +56,7 @@ register_task("gk", _gk_chunk)
 register_task("irn", _irn_chunk)
 
 
-def scan_range(lo: int, hi: int, sieve: SpfSieve | None = None, *,
-               workers: int = 1, chunk_size: int = CHUNK_SIZE_DEFAULT,
-               sieve_limit: int | None = None,
+def scan_range(lo: int, hi: int, *, workers: int = 1, chunk_size: int = CHUNK_SIZE_DEFAULT,
                checkpoint: str | None = None, max_chunks: int | None = None) -> GkTable:
     """Classify every n in [lo, hi] into its G_k class.
 
@@ -66,13 +64,8 @@ def scan_range(lo: int, hi: int, sieve: SpfSieve | None = None, *,
     resumable and `max_chunks` bounds this call's chunk budget (raising
     ScanInterrupted once state is saved).
     """
-    if sieve is not None and sieve_limit is None:
-        sieve_limit = sieve.limit
-    state = run_scan(
-        "gk", lo, hi,
-        workers=workers, chunk_size=chunk_size, sieve_limit=sieve_limit,
-        checkpoint=checkpoint, max_chunks=max_chunks,
-    )
+    state = run_scan("gk", lo, hi, workers=workers, chunk_size=chunk_size,
+                     checkpoint=checkpoint, max_chunks=max_chunks)
     classes = {}
     for key, members in state["classes"].items():
         num, den = key.split("/")
@@ -80,26 +73,19 @@ def scan_range(lo: int, hi: int, sieve: SpfSieve | None = None, *,
     return GkTable(lo, hi, classes)
 
 
-def members_of_k(k: Fraction | str, limit: int, sieve: SpfSieve | None = None,
-                 workers: int = 1) -> list[int]:
+def members_of_k(k: Fraction | str, limit: int, workers: int = 1) -> list[int]:
     """All n <= limit with k(n) = k, ascending."""
     if isinstance(k, str):
         k = parse_rational(k)
-    table = scan_range(1, limit, sieve, workers=workers)
+    table = scan_range(1, limit, workers=workers)
     return table.members(k)
 
 
-def enumerate_index_ratio(limit: int, sieve: SpfSieve | None = None,
-                          workers: int = 1) -> list[int]:
+def enumerate_index_ratio(limit: int, workers: int = 1) -> list[int]:
     """Ascending list of all index ratio numbers <= limit."""
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    state = run_scan(
-        "irn", 1, limit,
-        workers=workers,
-        sieve_limit=sieve.limit if sieve is not None else None,
-    )
-    return state["members"]
+    return run_scan("irn", 1, limit, workers=workers)["members"]
 
 
 def merge_tables(a: GkTable, b: GkTable) -> GkTable:

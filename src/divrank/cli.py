@@ -101,7 +101,6 @@ SETTING_PARSERS = {
     "out": str,
     "workers": positive_int,
     "chunk_size": positive_int,
-    "sieve_limit": positive_int,
     "checkpoint": str,
     "max_chunks": positive_int,
     "timing": _parse_bool,
@@ -351,8 +350,7 @@ def cmd_profile(args):
 
 def _chunk_flags(args):
     return dict(workers=args.workers, chunk_size=args.chunk_size,
-                sieve_limit=args.sieve_limit, checkpoint=args.checkpoint,
-                max_chunks=args.max_chunks)
+                checkpoint=args.checkpoint, max_chunks=args.max_chunks)
 
 
 def cmd_table(args):
@@ -407,8 +405,6 @@ def _add_common(sub, scans=True):
                          help="worker processes; never changes output bytes")
         sub.add_argument("--chunk-size", type=positive_int, default=None, metavar="C",
                          help=f"chunk length for range scans (default {DEFAULTS['chunk_size']})")
-        sub.add_argument("--sieve-limit", type=positive_int, default=None, metavar="N",
-                         help="build the smallest-prime-factor table up to N (default: scan limit)")
         sub.add_argument("--checkpoint", default=None, metavar="FILE",
                          help="save/resume scan state in FILE")
         sub.add_argument("--max-chunks", type=positive_int, default=None, metavar="M",

@@ -2,7 +2,7 @@
 
 All arithmetic uses Python's arbitrary-precision integers, so divisor sums
 can never overflow or wrap. The one exception is the block rank-sum kernel,
-which works in int64 only for n < 2**31, where none of its values can reach
+which works in int64 only for n < KERNEL_BOUND = 2**31, where none of its values can reach
 2**63. Rationals are stdlib ``fractions.Fraction``, which is always in
 canonical reduced form with a positive denominator and renders as "num/den"
 (eliding "/1").
@@ -234,34 +234,42 @@ def _divisors_from_spf(n: int, spf) -> list[int]:
 
 _BLOCK = 8192  # rows converted to Python ints at a time: bounds the kernel's int lists
 
+# the block kernel's int64 arithmetic is exact only below this n, and range scans stop here
+KERNEL_BOUND = 2**31
 
-def rank_sums(ns, spf):
-    """(n, tau, d_2, sigma_e, sigma_o, paired) for each n of `ns`, every n <= the table's limit.
+
+def rank_sums(ns):
+    """(n, tau, d_2, sigma_e, sigma_o, paired) for each n of `ns`.
 
     The one kernel behind every range scan: sigma_e/sigma_o sum the divisors of
-    even/odd rank, d_2 = spf[n] (1 at n = 1, which has no second divisor), and
-    `paired` says d_2j = d_2 d_2j-1 for every j (never for a square). A `range`
-    goes through the block walk over small divisors; any other iterable (the
-    squares of the lower-bound and conjecture-3 scans) expands each n's list.
+    even/odd rank, d_2 is the smallest prime factor (1 at n = 1, which has no
+    second divisor), and `paired` says d_2j = d_2 d_2j-1 for every j (never for
+    a square). A `range` goes through the block walk over small divisors, every
+    n < KERNEL_BOUND; any other iterable (the squares of the lower-bound and
+    conjecture-3 scans) factors each n by trial division and expands its list.
     """
     if isinstance(ns, range) and ns.step == 1:
-        table = np.asarray(spf)
         # the walk makes about 16 numpy calls per d <= isqrt(hi), so a block of
         # 16 isqrt(hi) n or more keeps that overhead near one call per n
         width = max(_BLOCK, 16 * isqrt(max(ns.stop - 1, 0)))
         for a in range(ns.start, ns.stop, width):
-            yield from _block_rank_sums(a, min(a + width, ns.stop) - 1, table)
+            yield from _block_rank_sums(a, min(a + width, ns.stop) - 1)
         return
     for n in ns:
-        divs = _divisors_from_spf(n, spf)
+        divs = divisor_list_of(n)
         tau = len(divs)
-        paired = tau % 2 == 0 and all(divs[i + 1] == spf[n] * divs[i] for i in range(0, tau, 2))
-        yield n, tau, spf[n], sum(divs[1::2]), sum(divs[0::2]), paired
+        d2 = divs[1] if n > 1 else 1
+        paired = tau % 2 == 0 and all(divs[i + 1] == d2 * divs[i] for i in range(0, tau, 2))
+        yield n, tau, d2, sum(divs[1::2]), sum(divs[0::2]), paired
 
 
-def _block_rank_sums(a, b, spf):
+def _block_rank_sums(a, b):
     """rank_sums rows for [a, b] from one ascending walk over d <= isqrt(b).
 
+    d_2 is sieved per block (the segmented sieve of Bays & Hudson, BIT 17,
+    1977): the primes p <= isqrt(b), largest first, overwrite their multiples
+    from max(p^2, a), so each n ends with its smallest prime factor, or n
+    itself when it is 1 or prime.
     Each d updates the n it divides with d^2 <= n, so every n sees its small
     divisors in rank order c = 1, 2, ... The large divisor n/d_c has rank
     tau + 1 - c, so once tau = 2c - [n square] is known, the signed sums
@@ -270,11 +278,13 @@ def _block_rank_sums(a, b, spf):
     needs the small half: n/d maps pair (2j-1, 2j) onto (tau+1-2j, tau+2-2j)
     with the same ratio, and the middle pair of tau = 2 mod 4 is n = d_2 d_c^2.
     """
-    if b >= 2**31:
-        raise ValueError(f"block kernel covers n < 2**31, got {b}")
+    if b >= KERNEL_BOUND:
+        raise ValueError(f"block kernel covers n < {KERNEL_BOUND}, got {b}")
     # int64 is exact below 2**31: sigma(n) < 2**37 and d_2 d_c^2 <= n^2 < 2**62
     w = b - a + 1
-    d2 = spf[a : b + 1].astype(np.int64)
+    d2 = np.arange(a, b + 1, dtype=np.int64)
+    for p in reversed(primes_upto(isqrt(b))):
+        d2[max(p * p, -(-a // p) * p) - a :: p] = p
     count = np.zeros(w, dtype=np.int64)
     sign = np.ones(w, dtype=np.int64)
     s1 = np.zeros(w, dtype=np.int64)

@@ -12,14 +12,12 @@ import hashlib
 import json
 import multiprocessing
 import os
-from array import array
-
-from .core import CheckpointError, ScanInterrupted, build_spf_sieve
+from .core import KERNEL_BOUND, CheckpointError, ScanInterrupted
 
 CHUNK_SIZE_DEFAULT = 1 << 16
 CHECKPOINT_VERSION = 1
 
-# name -> (chunk_fn(lo, hi, spf, params) -> fragment,
+# name -> (chunk_fn(lo, hi, params) -> fragment,
 #          merge_fn(state, fragment) -> state,
 #          empty_fn() -> state); fragments and state are JSON-safe.
 # perfbench/traced_cli.py wraps these triples and reads chunk_fn.__module__.
@@ -48,35 +46,14 @@ def register_task(name, chunk_fn):
     _TASKS[name] = (chunk_fn, merge_fragments, dict)
 
 
-_LOCAL_SPF: tuple[int, array] | None = None
-
-
-def _local_spf(limit: int) -> array:
-    """Process-local SPF table, grown on demand and reused across scans."""
-    global _LOCAL_SPF
-    if _LOCAL_SPF is None or _LOCAL_SPF[0] < limit:
-        _LOCAL_SPF = (limit, build_spf_sieve(limit)._table)
-    return _LOCAL_SPF[1]
-
-
-def _init_worker(sieve_limit):
-    _local_spf(sieve_limit)
-
-
 def _run_chunk(args):
-    task, lo, hi, sieve_limit, params = args
-    chunk_fn = _TASKS[task][0]
-    return chunk_fn(lo, hi, _local_spf(sieve_limit), params)
+    task, lo, hi, params = args
+    return _TASKS[task][0](lo, hi, params)
 
 
-def effective_sieve_limit(hi: int, sieve_limit: int | None) -> int:
-    return max(hi, 2) if sieve_limit is None else max(sieve_limit, hi, 2)
-
-
-def config_digest(task: str, lo: int, hi: int, chunk_size: int, sieve_limit: int, params: dict) -> str:
+def config_digest(task: str, lo: int, hi: int, chunk_size: int, params: dict) -> str:
     blob = json.dumps(
-        {"task": task, "lo": lo, "hi": hi, "chunk_size": chunk_size,
-         "sieve_limit": sieve_limit, "params": params},
+        {"task": task, "lo": lo, "hi": hi, "chunk_size": chunk_size, "params": params},
         sort_keys=True,
     )
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -115,7 +92,7 @@ def load_checkpoint(path, task, config_hash):
 
 
 def run_scan(task, lo, hi, params=None, *, workers=1, chunk_size=CHUNK_SIZE_DEFAULT,
-             sieve_limit=None, checkpoint=None, max_chunks=None):
+             checkpoint=None, max_chunks=None):
     """Run a registered task over [lo, hi]; returns the merged final state.
 
     `max_chunks` bounds the number of chunks processed this call; when the
@@ -124,14 +101,15 @@ def run_scan(task, lo, hi, params=None, *, workers=1, chunk_size=CHUNK_SIZE_DEFA
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
+    if hi >= KERNEL_BOUND:
+        raise ValueError(f"range scans cover n < {KERNEL_BOUND}, got hi = {hi}")
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     if max_chunks is not None and not checkpoint:
         raise ValueError("max_chunks requires a checkpoint path to resume from")
     params = dict(params or {})
-    sieve_limit = effective_sieve_limit(hi, sieve_limit)
     chunk_fn, merge_fn, empty_fn = _TASKS[task]
-    digest = config_digest(task, lo, hi, chunk_size, sieve_limit, params)
+    digest = config_digest(task, lo, hi, chunk_size, params)
 
     state = empty_fn()
     start = lo
@@ -149,14 +127,13 @@ def run_scan(task, lo, hi, params=None, *, workers=1, chunk_size=CHUNK_SIZE_DEFA
     interrupted = len(todo) < len(chunks)
 
     if workers <= 1 or len(todo) <= 1:
-        spf = _local_spf(sieve_limit)
         for a, b in todo:
-            state = merge_fn(state, chunk_fn(a, b, spf, params))
+            state = merge_fn(state, chunk_fn(a, b, params))
             if checkpoint:
                 save_checkpoint(checkpoint, task, digest, b, state)
     else:
-        jobs = [(task, a, b, sieve_limit, params) for a, b in todo]
-        with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(sieve_limit,)) as pool:
+        jobs = [(task, a, b, params) for a, b in todo]
+        with multiprocessing.Pool(workers) as pool:
             for (a, b), frag in zip(todo, pool.imap(_run_chunk, jobs)):
                 state = merge_fn(state, frag)
                 if checkpoint:

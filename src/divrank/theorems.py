@@ -19,19 +19,13 @@ from .core import (
     HypothesisViolation,
     Inapplicable,
     SpfSieve,
-    _divisors_from_spf,
     divisor_list_of,
     is_prime,
     next_prime_above,
     primes_upto,
     rank_sums,
 )
-from .scanner import (
-    CHUNK_SIZE_DEFAULT,
-    effective_sieve_limit,
-    register_task,
-    run_scan,
-)
+from .scanner import CHUNK_SIZE_DEFAULT, register_task, run_scan
 from .sigma import is_perfect_square, k_ratio, parity_sums_int, profile
 
 BOUNDED_EVIDENCE = (
@@ -314,10 +308,10 @@ def check_unit_fraction_gap(p: int, l: int) -> bool:
 # chunk tasks for the range scanners
 
 
-def _upper_bound_chunk(lo, hi, spf, params):
+def _upper_bound_chunk(lo, hi, params):
     violations = []
     applicable = 0
-    for n, tau, d2, se, so, paired in rank_sums(range(max(lo, 2), hi + 1), spf):
+    for n, tau, d2, se, so, paired in rank_sums(range(max(lo, 2), hi + 1)):
         if tau % 2:  # tau is odd exactly for perfect squares
             continue
         applicable += 1
@@ -335,10 +329,10 @@ def _squares(lo, hi):
     return (r * r for r in range(isqrt(lo - 1) + 1, isqrt(hi) + 1))
 
 
-def _lower_bound_chunk(lo, hi, spf, params):
+def _lower_bound_chunk(lo, hi, params):
     violations = []
     applicable = 0
-    for n, tau, d2, se, so, paired in rank_sums(_squares(max(lo, 4), hi), spf):
+    for n, tau, d2, se, so, paired in rank_sums(_squares(max(lo, 4), hi)):
         applicable += 1
         lhs = se * (d2 * d2 + 1)
         rhs = so * d2
@@ -358,11 +352,11 @@ def _lower_bound_chunk(lo, hi, spf, params):
     return {"violations": violations, "applicable": applicable}
 
 
-def _sigma_bounds_chunk(lo, hi, spf, params):
+def _sigma_bounds_chunk(lo, hi, params):
     violations = []
     tau4_failures = []
     applicable = 0
-    for n, tau, d2, se, so, paired in rank_sums(range(max(lo, 2), hi + 1), spf):
+    for n, tau, d2, se, so, paired in rank_sums(range(max(lo, 2), hi + 1)):
         if tau % 2:  # tau is odd exactly for perfect squares
             continue
         applicable += 1
@@ -395,16 +389,16 @@ def _sigma_bounds_chunk(lo, hi, spf, params):
     return {"violations": violations, "applicable": applicable, "tau4_failures": tau4_failures}
 
 
-def _pairing_chunk(lo, hi, spf, params):
+def _pairing_chunk(lo, hi, params):
     violations = []
     applicable = 0
-    limit = len(spf) - 1
     tau_cap = params.get("tau_cap")
-    for n, tau, d2, se, so, paired in rank_sums(range(max(lo, 2), hi + 1), spf):
+    for n, tau, d2, se, so, paired in rank_sums(range(max(lo, 2), hi + 1)):
         if se % so:
             continue
         p = se // so
-        if p < 2 or not (spf[p] == p if p <= limit else is_prime(p)):
+        # d_2 is prime, so trial division runs only for conjecture-1 counterexamples
+        if p < 2 or not (p == d2 or is_prime(p)):
             continue
         if tau_cap is not None and tau > tau_cap:
             continue
@@ -413,33 +407,17 @@ def _pairing_chunk(lo, hi, spf, params):
             violations.append({
                 "n": n,
                 "expected": f"d_2j = {p} d_2j-1 for all j",
-                "actual": f"divisors {_divisors_from_spf(n, spf)}",
+                "actual": f"divisors {divisor_list_of(n)}",
             })
-            continue
-        if params.get("power_identity"):
-            divs = _divisors_from_spf(n, spf)
-            for alpha in PAIRING_ALPHA_GRID:
-                a = abs(alpha)
-                # alpha < 0: sigma_{x,alpha} = sum (n/d)^a / n^a, so compare numerators
-                terms = [d**a if alpha >= 0 else (n // d) ** a for d in divs]
-                ea = sum(terms[1::2])
-                oa = sum(terms[0::2])
-                held = ea == p**a * oa if alpha >= 0 else ea * p**a == oa
-                if not held:
-                    if alpha < 0:
-                        ea, oa = Fraction(ea, n**a), Fraction(oa, n**a)
-                    violations.append({
-                        "n": n,
-                        "expected": f"sigma_e,{alpha} = {p}^{alpha} sigma_o,{alpha}",
-                        "actual": f"{ea} vs {Fraction(p)**alpha * oa}",
-                    })
+        # no power-identity grid: with the divisors paired as (d, p d), sigma_e,a =
+        # p^a sigma_o,a holds term by term for every a (check_pairing still evaluates it)
     return {"violations": violations, "applicable": applicable}
 
 
-def _conjecture1_chunk(lo, hi, spf, params):
+def _conjecture1_chunk(lo, hi, params):
     violations = []
     applicable = 0
-    for n, tau, d2, se, so, paired in rank_sums(range(max(lo, 2), hi + 1), spf):
+    for n, tau, d2, se, so, paired in rank_sums(range(max(lo, 2), hi + 1)):
         if se % so:
             continue
         applicable += 1
@@ -461,10 +439,10 @@ def _conjecture1_chunk(lo, hi, spf, params):
     return {"violations": violations, "applicable": applicable}
 
 
-def _conjecture3_chunk(lo, hi, spf, params):
+def _conjecture3_chunk(lo, hi, params):
     # domain: n = 1 and the perfect squares, the only integers with k < 1
     seen: dict[str, list[int]] = {}
-    for n, tau, d2, se, so, paired in rank_sums(_squares(lo, hi), spf):
+    for n, tau, d2, se, so, paired in rank_sums(_squares(lo, hi)):
         g = gcd(se, so)
         seen.setdefault(f"{se // g}/{so // g}", []).append(n)
     return {"seen": seen}
@@ -478,8 +456,7 @@ register_task("conjecture1", _conjecture1_chunk)
 register_task("conjecture3", _conjecture3_chunk)
 
 
-# conjecture 2 is the pairing sweep with no tau cap; share the chunk task
-register_task("conjecture2", _pairing_chunk)
+register_task("conjecture2", _pairing_chunk)  # the pairing sweep with no tau cap
 
 
 # ---------------------------------------------------------------------------
@@ -487,15 +464,14 @@ register_task("conjecture2", _pairing_chunk)
 
 
 def _scan_violations(check, task, limit, params, workers, chunk_size, checkpoint,
-                     max_chunks, sieve_limit=None, notes=(), config_extra=None):
+                     max_chunks, notes=(), config_extra=None):
     t0 = time.perf_counter()
     lo = 1
-    state = run_scan(task, lo, limit, params, workers=workers,
-                     chunk_size=chunk_size, sieve_limit=sieve_limit,
+    state = run_scan(task, lo, limit, params, workers=workers, chunk_size=chunk_size,
                      checkpoint=checkpoint, max_chunks=max_chunks)
+    # "sieve_limit" is kept so that pinned output bytes stay identical
     config = {"check": check, "lo": lo, "hi": limit, "chunk_size": chunk_size,
-              "sieve_limit": effective_sieve_limit(limit, sieve_limit),
-              **params, **(config_extra or {})}
+              "sieve_limit": max(limit, 2), **params, **(config_extra or {})}
     notes = list(notes)
     if state.get("tau4_failures"):
         hits = state["tau4_failures"]
@@ -508,65 +484,56 @@ def _scan_violations(check, task, limit, params, workers, chunk_size, checkpoint
 
 
 def scan_upper_bound(limit: int, *, workers: int = 1, chunk_size: int = CHUNK_SIZE_DEFAULT,
-                     sieve_limit: int | None = None, checkpoint: str | None = None,
-                     max_chunks: int | None = None) -> ScanReport:
+                     checkpoint: str | None = None, max_chunks: int | None = None) -> ScanReport:
     """k(n) < d_2 + 1/d_2 over all non-squares in [2, limit]."""
     return _scan_violations("upper-bound", "upper_bound", limit, {}, workers,
-                            chunk_size, checkpoint, max_chunks, sieve_limit)
+                            chunk_size, checkpoint, max_chunks)
 
 
 def scan_lower_bound(limit: int, *, workers: int = 1, chunk_size: int = CHUNK_SIZE_DEFAULT,
-                     sieve_limit: int | None = None, checkpoint: str | None = None,
-                     max_chunks: int | None = None) -> ScanReport:
+                     checkpoint: str | None = None, max_chunks: int | None = None) -> ScanReport:
     """k(n) >= d_2/(d_2^2+1) over squares in [4, limit], equality iff n = p^2."""
     return _scan_violations("lower-bound", "lower_bound", limit, {}, workers,
-                            chunk_size, checkpoint, max_chunks, sieve_limit)
+                            chunk_size, checkpoint, max_chunks)
 
 
 def scan_sigma_bounds(limit: int, *, workers: int = 1, chunk_size: int = CHUNK_SIZE_DEFAULT,
-                      sieve_limit: int | None = None, checkpoint: str | None = None,
-                      max_chunks: int | None = None) -> ScanReport:
+                      checkpoint: str | None = None, max_chunks: int | None = None) -> ScanReport:
     """Bound chain over all non-squares in [2, limit]; tau=4 bullet is advisory."""
     return _scan_violations("sigma-bounds", "sigma_bounds", limit, {}, workers,
-                            chunk_size, checkpoint, max_chunks, sieve_limit)
+                            chunk_size, checkpoint, max_chunks)
 
 
 def scan_pairing(limit: int, *, workers: int = 1, chunk_size: int = CHUNK_SIZE_DEFAULT,
-                 sieve_limit: int | None = None, checkpoint: str | None = None,
-                 max_chunks: int | None = None) -> ScanReport:
-    """Rank pairing plus the power identity for prime-k, tau <= 8 numbers."""
-    return _scan_violations("pairing", "pairing", limit,
-                            {"tau_cap": 8, "power_identity": True}, workers,
-                            chunk_size, checkpoint, max_chunks, sieve_limit)
+                 checkpoint: str | None = None, max_chunks: int | None = None) -> ScanReport:
+    """Rank pairing, which implies the power identity, for prime-k, tau <= 8 numbers."""
+    return _scan_violations("pairing", "pairing", limit, {"tau_cap": 8}, workers,
+                            chunk_size, checkpoint, max_chunks,
+                            config_extra={"power_identity": True})
 
 
 def scan_conjecture1(limit: int, *, workers: int = 1, chunk_size: int = CHUNK_SIZE_DEFAULT,
-                     sieve_limit: int | None = None, checkpoint: str | None = None,
-                     max_chunks: int | None = None) -> ScanReport:
+                     checkpoint: str | None = None, max_chunks: int | None = None) -> ScanReport:
     """Integral k implies k = d_2 (plus the even/odd specializations)."""
     return _scan_violations(
         "conjecture-1", "conjecture1", limit, {}, workers, chunk_size, checkpoint,
-        max_chunks, sieve_limit,
-        notes=["n = 1 (k = 0) is excluded: d_2(1) does not exist"],
+        max_chunks, notes=["n = 1 (k = 0) is excluded: d_2(1) does not exist"],
     )
 
 
 def scan_conjecture2(limit: int, *, workers: int = 1, chunk_size: int = CHUNK_SIZE_DEFAULT,
-                     sieve_limit: int | None = None, checkpoint: str | None = None,
-                     max_chunks: int | None = None) -> ScanReport:
+                     checkpoint: str | None = None, max_chunks: int | None = None) -> ScanReport:
     """Rank pairing for every prime-k number up to limit, no tau bound."""
-    return _scan_violations("conjecture-2", "conjecture2", limit,
-                            {"tau_cap": None, "power_identity": False}, workers,
-                            chunk_size, checkpoint, max_chunks, sieve_limit)
+    return _scan_violations("conjecture-2", "conjecture2", limit, {"tau_cap": None}, workers,
+                            chunk_size, checkpoint, max_chunks,
+                            config_extra={"power_identity": False})
 
 
 def scan_conjecture3(limit: int, *, workers: int = 1, chunk_size: int = CHUNK_SIZE_DEFAULT,
-                     sieve_limit: int | None = None, checkpoint: str | None = None,
-                     max_chunks: int | None = None) -> ScanReport:
+                     checkpoint: str | None = None, max_chunks: int | None = None) -> ScanReport:
     """Every k < 1 class holds at most one n (domain: perfect squares and 1)."""
     t0 = time.perf_counter()
-    state = run_scan("conjecture3", 1, limit, workers=workers,
-                     chunk_size=chunk_size, sieve_limit=sieve_limit,
+    state = run_scan("conjecture3", 1, limit, workers=workers, chunk_size=chunk_size,
                      checkpoint=checkpoint, max_chunks=max_chunks)
     violations = []
     for key, members in state["seen"].items():
@@ -576,8 +543,9 @@ def scan_conjecture3(limit: int, *, workers: int = 1, chunk_size: int = CHUNK_SI
                 "expected": f"k = {key} held only by {members[0]}",
                 "actual": f"shared by {members}",
             })
+    # "sieve_limit" is kept so that pinned output bytes stay identical
     config = {"check": "conjecture-3", "lo": 1, "hi": limit, "chunk_size": chunk_size,
-              "sieve_limit": effective_sieve_limit(limit, sieve_limit)}
+              "sieve_limit": max(limit, 2)}
     notes = ["domain restricted to perfect squares and n = 1, the only integers with k < 1"]
     return _finish("conjecture-3", 1, limit, violations, len(state["seen"]),
                    config, notes, t0)

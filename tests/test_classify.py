@@ -62,13 +62,13 @@ class TestScanRange:
             seen.update(members)
         assert seen == set(range(1, 5001))
 
-    def test_membership_round_trip(self, sieve_10k):
-        table = scan_range(1, 10_000, sieve_10k)
+    def test_membership_round_trip(self):
+        table = scan_range(1, 10_000)
         for n in (1, 4, 12, 36, 2431, 9973, 10_000):
             assert n in table.members(k_ratio(n))
 
     def test_every_member_keyed_by_its_own_k(self, sieve_10k):
-        table = scan_range(1, 10_000, sieve_10k)
+        table = scan_range(1, 10_000)
         for k, members in table.classes.items():
             for n in members:
                 assert k_ratio(n, sieve_10k) == k
@@ -135,9 +135,9 @@ class TestMembersOfK:
     def test_missing_class_is_empty(self):
         assert members_of_k(Fraction(7109, 15862), 10) == []
 
-    def test_contains_n(self, sieve_10k):
+    def test_contains_n(self):
         for n in (12, 30, 45, 1225):
-            assert n in members_of_k(k_ratio(n), n, sieve_10k)
+            assert n in members_of_k(k_ratio(n), n)
 
 
 class TestEnumerateIndexRatio:
@@ -150,8 +150,8 @@ class TestEnumerateIndexRatio:
     def test_12_excluded(self):
         assert 12 not in enumerate_index_ratio(12)
 
-    def test_matches_k_denominators(self, sieve_10k):
-        table = scan_range(1, 10_000, sieve_10k)
+    def test_matches_k_denominators(self):
+        table = scan_range(1, 10_000)
         expected = sorted(
             n for k, members in table.classes.items() if k.denominator == 1
             for n in members

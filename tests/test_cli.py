@@ -156,6 +156,15 @@ class TestVerifyAndScan:
         assert code == 0
         assert "status = inapplicable" in out
 
+    @pytest.mark.parametrize("argv", [("verify", "upper-bound"), ("verify", "lower-bound"),
+                                      ("scan", "3"), ("table",)])
+    def test_max_at_the_kernel_bound_exits_2(self, capsys, tmp_path, argv):
+        # a one-chunk budget: a scan that started would pause with exit 0
+        code, out, err = run_cli(capsys, *argv, "--max", str(2**31), "--checkpoint",
+                                 str(tmp_path / "ck"), "--max-chunks", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("divrank: ")
+
 
 class TestIrn:
     def test_text_matches_published_prefix(self, capsys):

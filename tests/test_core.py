@@ -130,9 +130,9 @@ def _oracle_rank_sums(ns, div_lists):
     return rows
 
 
-def _kernel(ns, sieve):
+def _kernel(ns):
     return [(n, tau, d2 if n > 1 else None, se, so, paired)
-            for n, tau, d2, se, so, paired in rank_sums(ns, sieve._table)]
+            for n, tau, d2, se, so, paired in rank_sums(ns)]
 
 
 windows = st.integers(min_value=1, max_value=ORACLE_LIMIT).flatmap(
@@ -143,23 +143,23 @@ class TestRankSums:
     @given(st.integers(min_value=1, max_value=ORACLE_LIMIT),
            st.integers(min_value=0, max_value=1500))
     @settings(max_examples=60, deadline=None)
-    def test_window_matches_oracle(self, oracle_div_lists, sieve_10k, lo, width):
+    def test_window_matches_oracle(self, oracle_div_lists, lo, width):
         ns = range(lo, min(lo + width, ORACLE_LIMIT) + 1)
-        assert _kernel(ns, sieve_10k) == _oracle_rank_sums(ns, oracle_div_lists)
+        assert _kernel(ns) == _oracle_rank_sums(ns, oracle_div_lists)
 
     @given(windows)
     @settings(max_examples=60, deadline=None)
-    def test_squares_match_oracle(self, oracle_div_lists, sieve_10k, window):
+    def test_squares_match_oracle(self, oracle_div_lists, window):
         lo, hi = window
         squares = [r * r for r in range(isqrt(lo - 1) + 1, isqrt(hi) + 1)]
-        assert _kernel(iter(squares), sieve_10k) == _oracle_rank_sums(squares, oracle_div_lists)
+        assert _kernel(iter(squares)) == _oracle_rank_sums(squares, oracle_div_lists)
 
     @pytest.mark.parametrize("as_input", [lambda ns: ns, iter], ids=["block", "per-n"])
-    def test_every_n_in_one_call(self, oracle_div_lists, sieve_10k, as_input):
+    def test_every_n_in_one_call(self, oracle_div_lists, as_input):
         # one range of 10^4 crosses the boundary between the walk's 8192-n blocks
         assert ORACLE_LIMIT > core._BLOCK
         ns = range(1, ORACLE_LIMIT + 1)
-        assert _kernel(as_input(ns), sieve_10k) == _oracle_rank_sums(ns, oracle_div_lists)
+        assert _kernel(as_input(ns)) == _oracle_rank_sums(ns, oracle_div_lists)
 
     def test_far_window_matches_divisor_expansion(self):
         # one walk block of 2^14 n, converted to Python ints in two parts
@@ -170,11 +170,20 @@ class TestRankSums:
         for n in ns:
             d = core._divisors_from_spf(n, table)
             expected.append((n, len(d), d[1], sum(d[1::2]), sum(d[0::2]), _oracle_pairing(d)))
-        assert list(rank_sums(ns, table)) == expected
+        assert list(rank_sums(ns)) == expected
 
-    def test_refuses_n_beyond_int32(self, sieve_10k):
+    def test_window_below_the_kernel_bound_matches_trial_division(self):
+        # no SPF table reaches this far: the block sieves its own d_2
+        ns = range(core.KERNEL_BOUND - 2**10, core.KERNEL_BOUND)
+        expected = []
+        for n in ns:
+            d = divisors_sorted(factorize(n))
+            expected.append((n, len(d), d[1], sum(d[1::2]), sum(d[0::2]), _oracle_pairing(d)))
+        assert list(rank_sums(ns)) == expected
+
+    def test_refuses_n_beyond_int32(self):
         with pytest.raises(ValueError):
-            list(rank_sums(range(2**31 - 2, 2**31 + 1), sieve_10k._table))
+            list(rank_sums(range(2**31 - 2, 2**31 + 1)))
 
     def test_reciprocal_sum_is_odd_rank_sum_for_non_squares(self, oracle_div_lists):
         # n/d_i = d_{tau+1-i} maps even ranks onto odd ones when tau is even

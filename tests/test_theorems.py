@@ -1,3 +1,6 @@
+import dataclasses
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,6 +33,8 @@ from divrank import (
     scan_unit_fraction,
     scan_upper_bound,
 )
+from divrank.classify import enumerate_index_ratio, scan_range
+from divrank.scanner import CHUNK_SIZE_DEFAULT
 from divrank.theorems import BOUNDED_EVIDENCE
 from conftest import oracle_divisors, oracle_k
 
@@ -384,3 +389,53 @@ class TestReportShape:
         assert report.config["hi"] == 500
         assert report.config["chunk_size"] == 128
         assert report.config["sieve_limit"] == 500
+
+
+def _untimed(result):
+    return dataclasses.replace(result, elapsed_ms=0) if hasattr(result, "elapsed_ms") else result
+
+
+class TestWithoutSpfTable:
+    """Range scans sieve d_2 per block and squares factor by trial division."""
+
+    def test_refuses_hi_at_the_kernel_bound_before_any_chunk(self, tmp_path):
+        # a one-chunk budget: a scan that started would pause, not raise
+        checkpoint = tmp_path / "ub.ck"
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=str(2**31)):
+            scan_upper_bound(2**31, checkpoint=str(checkpoint), max_chunks=1)
+        assert time.perf_counter() - t0 < 1
+        assert not checkpoint.exists()
+
+    def test_lower_bound_above_the_old_sieve_ceiling(self):
+        report = scan_lower_bound(10**8)
+        assert (report.status, report.applicable) == ("verified", 9999)
+
+    def test_conjecture3_above_the_old_sieve_ceiling(self):
+        far = [v for v in scan_conjecture3(10**8).violations if v["n"] <= 10**5]
+        assert far == scan_conjecture3(10**5).violations
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_scan_builds_a_table(self, monkeypatch, workers):
+        # several chunks each, so that two workers really fork a pool; the
+        # fork copies the patched modules into the workers
+        chunked = {"workers": workers, "chunk_size": 2500}
+        scans = {
+            "upper-bound": lambda: scan_upper_bound(10**4, **chunked),
+            "lower-bound": lambda: scan_lower_bound(10**4, **chunked),
+            "pairing": lambda: scan_pairing(10**4, **chunked),
+            "conjecture-3": lambda: scan_conjecture3(10**4, **chunked),
+            "scan_range": lambda: scan_range(1, 10**4, **chunked),
+            # takes no chunk size: two default chunks
+            "irn": lambda: enumerate_index_ratio(CHUNK_SIZE_DEFAULT + 10**4, workers=workers),
+        }
+        expected = {name: _untimed(scan()) for name, scan in scans.items()}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a range scan built an SPF table")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "divrank" and hasattr(module, "build_spf_sieve"):
+                monkeypatch.setattr(module, "build_spf_sieve", refuse)
+        for name, scan in scans.items():
+            assert _untimed(scan()) == expected[name], name
