@@ -2,10 +2,11 @@
 
 All arithmetic uses Python's arbitrary-precision integers, so divisor sums
 can never overflow or wrap. The one exception is the block rank-sum kernel,
-which works in int64 only for n < KERNEL_BOUND = 2**31, where none of its values can reach
-2**63. Rationals are stdlib ``fractions.Fraction``, which is always in
-canonical reduced form with a positive denominator and renders as "num/den"
-(eliding "/1").
+which works in int64 only for n < KERNEL_BOUND = 2**31, where none of its
+values can reach 2**63. Range scans sieve what they need per block; the SPF
+table serves single-n calls. Rationals are stdlib ``fractions.Fraction``,
+which is always in canonical reduced form with a positive denominator and
+renders as "num/den" (eliding "/1").
 """
 
 from __future__ import annotations
@@ -270,6 +271,7 @@ def _block_rank_sums(a, b):
     1977): the primes p <= isqrt(b), largest first, overwrite their multiples
     from max(p^2, a), so each n ends with its smallest prime factor, or n
     itself when it is 1 or prime.
+
     Each d updates the n it divides with d^2 <= n, so every n sees its small
     divisors in rank order c = 1, 2, ... The large divisor n/d_c has rank
     tau + 1 - c, so once tau = 2c - [n square] is known, the signed sums

@@ -12,6 +12,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+
 from .core import KERNEL_BOUND, CheckpointError, ScanInterrupted
 
 CHUNK_SIZE_DEFAULT = 1 << 16
