@@ -19,15 +19,15 @@ import io
 import json
 import os
 import sys
+from fractions import Fraction
 
 from .classify import enumerate_index_ratio, scan_range
 from .core import (
     CheckpointError,
     ScanInterrupted,
-    SieveMemoryError,
-    build_spf_sieve,
     format_rational,
     parse_rational,
+    rank_sums,
 )
 from .scanner import CHUNK_SIZE_DEFAULT
 from .sigma import profile
@@ -312,7 +312,7 @@ def render_report(report: ScanReport, fmt, timing):
     return "\n".join(lines) + "\n"
 
 
-def render_irn(limit, members, fmt, sieve=None):
+def render_irn(limit, members, fmt):
     if fmt == "json":
         return _json_text({
             "kind": "irn",
@@ -321,11 +321,11 @@ def render_irn(limit, members, fmt, sieve=None):
             "members": members,
         })
     if fmt == "csv":
-        rows = []
-        for n in members:
-            prof = profile(n, sieve)
-            rows.append((prof.n, prof.tau, prof.sigma_e, prof.sigma_o,
-                         format_rational(prof.k), _bool_str(prof.is_index_ratio)))
+        # the members' profile rows from one kernel walk, not a divisor list each
+        wanted = set(members)
+        rows = [(n, tau, se, so, format_rational(Fraction(se, so)), _bool_str(se % so == 0))
+                for n, tau, d2, se, so, paired in rank_sums(range(1, limit + 1))
+                if n in wanted]
         return _csv_text(rows, CSV_PROFILE_COLUMNS)
     return ", ".join(map(str, members)) + "\n"
 
@@ -382,8 +382,7 @@ def cmd_scan(args):
 
 def cmd_irn(args):
     members = enumerate_index_ratio(args.max, workers=args.workers)
-    sieve = build_spf_sieve(max(args.max, 2)) if args.format == "csv" else None
-    emit(render_irn(args.max, members, args.format, sieve), args.out)
+    emit(render_irn(args.max, members, args.format), args.out)
     return 0
 
 
@@ -470,7 +469,7 @@ def main(argv=None):
         print(f"scan paused at n={exc.last_n}; rerun with the same flags to resume "
               f"from {exc.checkpoint}", file=sys.stderr)
         return 0
-    except (CheckpointError, SieveMemoryError, ValueError) as exc:
+    except (CheckpointError, ValueError) as exc:
         print(f"divrank: {exc}", file=sys.stderr)
         return 2
 

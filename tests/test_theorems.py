@@ -1,6 +1,5 @@
 import dataclasses
 import sys
-import time
 from fractions import Fraction
 
 import pytest
@@ -33,6 +32,7 @@ from divrank import (
     scan_unit_fraction,
     scan_upper_bound,
 )
+from divrank import cli
 from divrank.classify import enumerate_index_ratio, scan_range
 from divrank.scanner import CHUNK_SIZE_DEFAULT
 from divrank.theorems import BOUNDED_EVIDENCE
@@ -401,10 +401,8 @@ class TestWithoutSpfTable:
     def test_refuses_hi_at_the_kernel_bound_before_any_chunk(self, tmp_path):
         # a one-chunk budget: a scan that started would pause, not raise
         checkpoint = tmp_path / "ub.ck"
-        t0 = time.perf_counter()
         with pytest.raises(ValueError, match=str(2**31)):
             scan_upper_bound(2**31, checkpoint=str(checkpoint), max_chunks=1)
-        assert time.perf_counter() - t0 < 1
         assert not checkpoint.exists()
 
     def test_lower_bound_above_the_old_sieve_ceiling(self):
@@ -416,7 +414,7 @@ class TestWithoutSpfTable:
         assert far == scan_conjecture3(10**5).violations
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_no_scan_builds_a_table(self, monkeypatch, workers):
+    def test_no_scan_builds_a_table(self, monkeypatch, capsys, workers):
         # several chunks each, so that two workers really fork a pool; the
         # fork copies the patched modules into the workers
         chunked = {"workers": workers, "chunk_size": 2500}
@@ -428,6 +426,8 @@ class TestWithoutSpfTable:
             "scan_range": lambda: scan_range(1, 10**4, **chunked),
             # takes no chunk size: two default chunks
             "irn": lambda: enumerate_index_ratio(CHUNK_SIZE_DEFAULT + 10**4, workers=workers),
+            "irn csv": lambda: (cli.main(["irn", "--max", "10000", "--format", "csv",
+                                          "--workers", str(workers)]), capsys.readouterr()),
         }
         expected = {name: _untimed(scan()) for name, scan in scans.items()}
 
