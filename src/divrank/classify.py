@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .core import RangeOverlapError, SpfSieve, divisor_list_of, parse_rational, rank_sums
+from .core import RangeOverlapError, _rank_row, divisor_list_of, parse_rational, rank_sums
 from .scanner import CHUNK_SIZE_DEFAULT, register_task, run_scan
 
 
@@ -29,14 +29,11 @@ class GkTable:
     def sorted_by_smallest_member(self) -> list[tuple[Fraction, list[int]]]:
         return sorted(self.classes.items(), key=lambda kv: kv[1][0])
 
-    def total_members(self) -> int:
-        return sum(len(v) for v in self.classes.values())
 
-
-def is_index_ratio(n: int, sieve: SpfSieve | None = None) -> bool:
+def is_index_ratio(n: int) -> bool:
     """True iff sigma_o(n) divides sigma_e(n)."""
-    divs = divisor_list_of(n, sieve)
-    return sum(divs[1::2]) % sum(divs[0::2]) == 0
+    _, _, _, se, so, _ = _rank_row(divisor_list_of(n))
+    return se % so == 0
 
 
 def _gk_chunk(lo, hi, params):

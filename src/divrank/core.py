@@ -3,10 +3,10 @@
 All arithmetic uses Python's arbitrary-precision integers, so divisor sums
 can never overflow or wrap. The one exception is the block rank-sum kernel,
 which works in int64 only for n < KERNEL_BOUND = 2**31, where none of its
-values can reach 2**63. Range scans sieve what they need per block; the SPF
-table serves single-n calls. Rationals are stdlib ``fractions.Fraction``,
-which is always in canonical reduced form with a positive denominator and
-renders as "num/den" (eliding "/1").
+values can reach 2**63. Range scans sieve what they need per block, and
+single-n calls factor by trial division. Rationals are stdlib
+``fractions.Fraction``, which is always in canonical reduced form with a
+positive denominator and renders as "num/den" (eliding "/1").
 """
 
 from __future__ import annotations
@@ -65,9 +65,6 @@ class Factorization:
 
     n: int
     factors: tuple[tuple[int, int], ...]
-
-    def __iter__(self):
-        return iter(self.factors)
 
     @property
     def tau(self) -> int:
@@ -182,12 +179,6 @@ class SpfSieve:
             factors.append((p, e))
         return Factorization(n, tuple(factors))
 
-    def divisors(self, n: int) -> list[int]:
-        """Ascending divisor list of n <= limit."""
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"divisors query {n} outside sieve range [1, {self.limit}]")
-        return _divisors_from_spf(n, self._table)
-
 
 def build_spf_sieve(limit: int, memory_budget: int = DEFAULT_SIEVE_MEMORY_BYTES) -> SpfSieve:
     """Smallest-prime-factor table up to `limit` (vectorized construction).
@@ -217,22 +208,6 @@ def build_spf_sieve(limit: int, memory_budget: int = DEFAULT_SIEVE_MEMORY_BYTES)
     return SpfSieve(limit, table)
 
 
-def _divisors_from_spf(n: int, spf) -> list[int]:
-    # factor via the table, expand, sort
-    divs = [1]
-    m = n
-    while m > 1:
-        p = spf[m]
-        base = divs
-        pk = 1
-        while m % p == 0:
-            m //= p
-            pk *= p
-            divs = divs + [d * pk for d in base]
-    divs.sort()
-    return divs
-
-
 _BLOCK = 8192  # rows converted to Python ints at a time: bounds the kernel's int lists
 
 # the block kernel's int64 arithmetic is exact only below this n, and range scans stop here
@@ -257,11 +232,15 @@ def rank_sums(ns):
             yield from _block_rank_sums(a, min(a + width, ns.stop) - 1)
         return
     for n in ns:
-        divs = divisor_list_of(n)
-        tau = len(divs)
-        d2 = divs[1] if n > 1 else 1
-        paired = tau % 2 == 0 and all(divs[i + 1] == d2 * divs[i] for i in range(0, tau, 2))
-        yield n, tau, d2, sum(divs[1::2]), sum(divs[0::2]), paired
+        yield _rank_row(divisor_list_of(n))
+
+
+def _rank_row(divs):
+    """The rank_sums row of the n whose ascending divisor list is `divs`."""
+    tau = len(divs)
+    d2 = divs[1] if tau > 1 else 1
+    paired = tau % 2 == 0 and all(divs[i + 1] == d2 * divs[i] for i in range(0, tau, 2))
+    return divs[-1], tau, d2, sum(divs[1::2]), sum(divs[0::2]), paired
 
 
 def _block_rank_sums(a, b):
@@ -342,10 +321,8 @@ def divisors_sorted(f: Factorization) -> list[int]:
     return divs
 
 
-def divisor_list_of(n: int, sieve: SpfSieve | None = None) -> list[int]:
-    """Ascending divisors of n, via the sieve when it covers n."""
-    if sieve is not None and n <= sieve.limit:
-        return sieve.divisors(n)
+def divisor_list_of(n: int) -> list[int]:
+    """Ascending divisors of n."""
     return divisors_sorted(factorize(n))
 
 

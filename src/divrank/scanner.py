@@ -87,9 +87,11 @@ def load_checkpoint(path, task, config_hash):
         raise CheckpointError(f"checkpoint {path} belongs to task {doc.get('task')!r}, not {task!r}")
     if doc.get("config_hash") != config_hash:
         raise CheckpointError(f"checkpoint {path} was written under a different configuration")
-    if "last_n" not in doc or "state" not in doc:
-        raise CheckpointError(f"checkpoint {path} is missing fields")
-    return doc["last_n"], doc["state"]
+    last_n, state = doc.get("last_n"), doc.get("state")
+    # type(), not isinstance(): JSON true would pass as the int 1
+    if type(last_n) is not int or not isinstance(state, dict):
+        raise CheckpointError(f"checkpoint {path} has a missing or malformed last_n or state")
+    return last_n, state
 
 
 def run_scan(task, lo, hi, params=None, *, workers=1, chunk_size=CHUNK_SIZE_DEFAULT,

@@ -11,13 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .core import (
-    AlphaZeroError,
-    SpfSieve,
-    divisor_list_of,
-    factorize,
-    is_prime,
-)
+from .core import AlphaZeroError, _rank_row, divisor_list_of, factorize, is_prime
 
 
 @dataclass(frozen=True)
@@ -51,13 +45,13 @@ def is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
-def parity_sums_int(n: int, alpha: int, sieve: SpfSieve | None = None) -> ParitySums:
+def parity_sums_int(n: int, alpha: int) -> ParitySums:
     """Exact rank-parity power sums; negative alpha yields exact Fractions."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if isinstance(alpha, bool) or not isinstance(alpha, int):
         raise TypeError(f"alpha must be an integer, got {alpha!r}")
-    divs = divisor_list_of(n, sieve)
+    divs = divisor_list_of(n)
     if alpha >= 0:
         sig_e = sum(d**alpha for d in divs[1::2])
         sig_o = sum(d**alpha for d in divs[0::2])
@@ -84,36 +78,32 @@ def parity_sums_real(n: int, alpha: float) -> tuple[float, float]:
     )
 
 
-def tau_parity(n: int, sieve: SpfSieve | None = None) -> tuple[int, int]:
+def tau_parity(n: int) -> tuple[int, int]:
     """(tau_e, tau_o): divisor counts at even and odd ranks."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if sieve is not None and n <= sieve.limit:
-        tau = sieve.factorize(n).tau
-    else:
-        tau = factorize(n).tau
+    tau = factorize(n).tau
     if tau % 2:
         return (tau - 1) // 2, (tau + 1) // 2
     return tau // 2, tau // 2
 
 
-def k_ratio(n: int, sieve: SpfSieve | None = None) -> Fraction:
+def k_ratio(n: int) -> Fraction:
     """k(n) = sigma_e(n)/sigma_o(n) as a canonical Fraction; k(1) = 0."""
-    divs = divisor_list_of(n, sieve)
-    return Fraction(sum(divs[1::2]), sum(divs[0::2]))
+    _, _, _, sig_e, sig_o, _ = _rank_row(divisor_list_of(n))
+    return Fraction(sig_e, sig_o)
 
 
-def profile(n: int, sieve: SpfSieve | None = None) -> DivisorProfile:
+def profile(n: int) -> DivisorProfile:
     """Full DivisorProfile for n."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    divs = divisor_list_of(n, sieve)
-    sig_e = sum(divs[1::2])
-    sig_o = sum(divs[0::2])
+    divs = divisor_list_of(n)
+    _, tau, _, sig_e, sig_o, _ = _rank_row(divs)
     return DivisorProfile(
         n=n,
         divisors=tuple(divs),
-        tau=len(divs),
+        tau=tau,
         sigma_e=sig_e,
         sigma_o=sig_o,
         k=Fraction(sig_e, sig_o),

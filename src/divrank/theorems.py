@@ -1,9 +1,10 @@
 """Machine checks for every stated bound, identity, and conjecture.
 
-Single-n checks evaluate one integer exactly (Fractions throughout);
-scan_* functions sweep ranges and return ScanReports. A report that comes
-back "verified" is bounded evidence for the scanned range only, never a
-proof, and its notes say so in fixed wording.
+Single-n checks evaluate one integer exactly, through the same integer
+predicates the range scans apply to each kernel row; scan_* functions sweep
+ranges and return ScanReports. A report that comes back "verified" is
+bounded evidence for the scanned range only, never a proof, and its notes
+say so in fixed wording.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .core import (
     Factorization,
     HypothesisViolation,
     Inapplicable,
-    SpfSieve,
+    _rank_row,
     divisor_list_of,
     is_prime,
     next_prime_above,
@@ -89,15 +90,50 @@ def _finish(check, lo, hi, violations, applicable, config, notes, t0) -> ScanRep
 # single-n checks
 
 
-def check_upper_bound(n: int, sieve: SpfSieve | None = None) -> bool:
+def _upper_bound_holds(d2, se, so):
+    """k < d_2 + 1/d_2, cross-multiplied."""
+    return se * d2 < so * (d2 * d2 + 1)
+
+
+def _lower_bound_verdict(d2, se, so):
+    """(k >= d_2/(d_2^2 + 1), k = d_2/(d_2^2 + 1)), cross-multiplied."""
+    lhs = se * (d2 * d2 + 1)
+    rhs = so * d2
+    return lhs >= rhs, lhs == rhs
+
+
+def _sigma_bounds_clauses(n, tau, se, so):
+    """The bound chain at a non-square n, each clause cross-multiplied.
+
+    Exact for the Fraction statement: so = n sigma_{e,-1}, because with tau
+    even n/d_i = d_{tau+1-i} maps even ranks onto odd ones.
+    """
+    low = tau - 2 + n  # sigma_e >= low
+    high4 = (tau + 2) * n  # 4 sigma_e <= high4
+    rec4 = (tau - 2) * n + 4  # 1/sigma_{e,-1} >= 4n/rec4
+    clauses = {
+        "sigma_e_lower": low <= se,
+        "sigma_e_upper": 4 * se <= high4,
+        "reciprocal_lower": 4 * so <= rec4,
+        "reciprocal_upper": so >= tau - 1,
+        "combined_lower": 4 * low * so <= rec4 * se,
+        "combined_upper": 4 * (tau - 1) * se <= high4 * so,
+    }
+    if tau == 2:
+        clauses["prime_case"] = se == n * so
+    elif tau == 4:
+        clauses["tau4_bullet"] = 2 * so <= se and 4 * se <= n * so
+    elif tau == 6:
+        clauses["tau6_bullet"] = (n + 4) * so <= (n + 1) * se and 5 * se <= 2 * n * so
+    return clauses
+
+
+def check_upper_bound(n: int) -> bool:
     """k(n) < d_2 + 1/d_2 for non-square n >= 2, compared exactly."""
     if n < 2 or is_perfect_square(n):
         raise Inapplicable(f"upper bound is stated for non-squares >= 2, got {n}")
-    divs = divisor_list_of(n, sieve)
-    se = sum(divs[1::2])
-    so = sum(divs[0::2])
-    d2 = divs[1]
-    return se * d2 < so * (d2 * d2 + 1)
+    _, _, d2, se, so, _ = _rank_row(divisor_list_of(n))
+    return _upper_bound_holds(d2, se, so)
 
 
 @dataclass(frozen=True)
@@ -112,17 +148,12 @@ class LowerBoundResult:
         return self.holds
 
 
-def check_lower_bound(n: int, sieve: SpfSieve | None = None) -> LowerBoundResult:
+def check_lower_bound(n: int) -> LowerBoundResult:
     """k(n) >= d_2/(d_2^2 + 1) for perfect squares n >= 4; equality iff n = p^2."""
     if n < 4 or not is_perfect_square(n):
         raise Inapplicable(f"lower bound is stated for perfect squares >= 4, got {n}")
-    divs = divisor_list_of(n, sieve)
-    se = sum(divs[1::2])
-    so = sum(divs[0::2])
-    d2 = divs[1]
-    lhs = se * (d2 * d2 + 1)
-    rhs = so * d2
-    return LowerBoundResult(n, lhs >= rhs, lhs == rhs)
+    _, _, d2, se, so, _ = _rank_row(divisor_list_of(n))
+    return LowerBoundResult(n, *_lower_bound_verdict(d2, se, so))
 
 
 @dataclass(frozen=True)
@@ -145,35 +176,15 @@ class SigmaBoundsResult:
         return self.core_ok
 
 
-def check_sigma_bounds(n: int, sieve: SpfSieve | None = None) -> SigmaBoundsResult:
+def check_sigma_bounds(n: int) -> SigmaBoundsResult:
     """Exact evaluation of the bound chain on sigma_e, 1/sigma_{e,-1}, and k."""
     if n < 2 or is_perfect_square(n):
         raise Inapplicable(f"sigma bounds are stated for non-squares >= 2, got {n}")
-    divs = divisor_list_of(n, sieve)
-    tau = len(divs)
-    se = sum(divs[1::2])
-    so = sum(divs[0::2])
-    k = Fraction(se, so)
-    sig_e_rec = sum(Fraction(1, d) for d in divs[1::2])
-
-    clauses = {
-        "sigma_e_lower": Fraction(tau - 2 + n) <= se,
-        "sigma_e_upper": se <= Fraction((tau + 2) * n, 4),
-        "reciprocal_lower": Fraction(4 * n, (tau - 2) * n + 4) <= 1 / sig_e_rec,
-        "reciprocal_upper": 1 / sig_e_rec <= Fraction(n, tau - 1),
-        "combined_lower": Fraction(4 * (tau - 2 + n), (tau - 2) * n + 4) <= k,
-        "combined_upper": k <= Fraction(n * (tau + 2), 4 * (tau - 1)),
-    }
-    if tau == 2:
-        clauses["prime_case"] = k == n
-    elif tau == 4:
-        clauses["tau4_bullet"] = 2 <= k <= Fraction(n, 4)
-    elif tau == 6:
-        clauses["tau6_bullet"] = Fraction(n + 4, n + 1) <= k <= Fraction(2 * n, 5)
-    return SigmaBoundsResult(n, tau, clauses)
+    _, tau, _, se, so, _ = _rank_row(divisor_list_of(n))
+    return SigmaBoundsResult(n, tau, _sigma_bounds_clauses(n, tau, se, so))
 
 
-def check_multiplier(n: int, p: int, a: int, sieve: SpfSieve | None = None) -> bool:
+def check_multiplier(n: int, p: int, a: int) -> bool:
     """k(n * p^a) = k(n) when p is prime, p > n, and tau(n) is even.
 
     n = 1 is inapplicable: k(1) = 0 is degenerate (no even-rank divisors to
@@ -195,11 +206,10 @@ def check_multiplier(n: int, p: int, a: int, sieve: SpfSieve | None = None) -> b
         raise HypothesisViolation(f"multiplier hypothesis needs p > n, got p={p} <= n={n}")
     if a < 1:
         raise ValueError(f"a must be >= 1, got {a}")
-    return k_ratio(n * p**a, sieve) == k_ratio(n, sieve)
+    return k_ratio(n * p**a) == k_ratio(n)
 
 
-def check_multiplier_chain(n: int, m_factorization: Factorization,
-                           sieve: SpfSieve | None = None) -> bool:
+def check_multiplier_chain(n: int, m_factorization: Factorization) -> bool:
     """k(n*m) = k(n) under the chained hypothesis base < p_i at every step."""
     if n == 1:
         raise Inapplicable("n = 1 has k = 0; the multiplier identity needs n >= 2")
@@ -215,9 +225,9 @@ def check_multiplier_chain(n: int, m_factorization: Factorization,
                 f"chain hypothesis fails at step {i}: prime {p} <= accumulated {base}",
                 index=i,
             )
-        ok = check_multiplier(base, p, e, sieve) and ok
+        ok = check_multiplier(base, p, e) and ok
         base *= p**e
-    return ok and k_ratio(n * m_factorization.n, sieve) == k_ratio(n, sieve)
+    return ok and k_ratio(n * m_factorization.n) == k_ratio(n)
 
 
 def check_upper_bound_optimality(p: int, q_list: list[int]) -> bool:
@@ -241,31 +251,30 @@ def check_upper_bound_optimality(p: int, q_list: list[int]) -> bool:
     return increasing and below
 
 
-def check_pairing(n: int, sieve: SpfSieve | None = None) -> bool:
+def check_pairing(n: int) -> bool:
     """For prime-integer k = p and tau(n) <= 8: d_{2j} = p d_{2j-1} for all j,
     and sigma_{e,a}(n) = p^a sigma_{o,a}(n) exactly for a in -2..3."""
-    prof = profile(n, sieve)
-    k = prof.k
+    _, tau, d2, se, so, paired = _rank_row(divisor_list_of(n))
+    k = Fraction(se, so)
     if k.denominator != 1 or not is_prime(k.numerator):
         raise Inapplicable(f"pairing is stated for prime integer k, got k({n}) = {k}")
-    if prof.tau > 8:
-        raise Inapplicable(f"pairing theorem covers tau <= 8, got tau({n}) = {prof.tau}")
+    if tau > 8:
+        raise Inapplicable(f"pairing theorem covers tau <= 8, got tau({n}) = {tau}")
     p = k.numerator
-    divs = prof.divisors
-    if any(divs[i + 1] != p * divs[i] for i in range(0, len(divs), 2)):
+    if not (paired and p == d2):  # d_2j = p d_2j-1 for all j, j = 1 included
         return False
     for alpha in PAIRING_ALPHA_GRID:
-        sums = parity_sums_int(n, alpha, sieve)
+        sums = parity_sums_int(n, alpha)
         if sums.sigma_e != Fraction(p) ** alpha * sums.sigma_o:
             return False
     return True
 
 
-def extend_with_prime(n: int, q: int, sieve: SpfSieve | None = None) -> int:
+def extend_with_prime(n: int, q: int) -> int:
     """Extend a prime-k, tau = 6 number by a prime q > n; returns qn after
     verifying tau(qn) = 12, the rank pairing, and the exact divisor interleaving
     [d_1..d_6, q d_1..q d_6]."""
-    prof = profile(n, sieve)
+    prof = profile(n)
     if prof.tau != 6:
         raise Inapplicable(f"extension needs tau(n) = 6, got tau({n}) = {prof.tau}")
     k = prof.k
@@ -277,7 +286,7 @@ def extend_with_prime(n: int, q: int, sieve: SpfSieve | None = None) -> int:
         raise HypothesisViolation(f"extension needs q > n, got q={q} <= n={n}")
     p = k.numerator
     qn = q * n
-    divs = divisor_list_of(qn, sieve)
+    divs = divisor_list_of(qn)
     expected = list(prof.divisors) + [q * d for d in prof.divisors]
     if len(divs) != 12 or divs != expected:
         raise ArithmeticError(f"divisors of {qn} do not interleave as expected")
@@ -315,7 +324,7 @@ def _upper_bound_chunk(lo, hi, params):
         if tau % 2:  # tau is odd exactly for perfect squares
             continue
         applicable += 1
-        if se * d2 >= so * (d2 * d2 + 1):
+        if not _upper_bound_holds(d2, se, so):
             violations.append({
                 "n": n,
                 "expected": f"k < {d2}+1/{d2}",
@@ -334,16 +343,15 @@ def _lower_bound_chunk(lo, hi, params):
     applicable = 0
     for n, tau, d2, se, so, paired in rank_sums(_squares(max(lo, 4), hi)):
         applicable += 1
-        lhs = se * (d2 * d2 + 1)
-        rhs = so * d2
-        if lhs < rhs:
+        holds, equality = _lower_bound_verdict(d2, se, so)
+        if not holds:
             violations.append({
                 "n": n,
                 "expected": f"k >= {d2}/{d2 * d2 + 1}",
                 "actual": f"k={se}/{so}",
             })
-        elif (lhs == rhs) != (tau == 3):
-            why = "equality" if lhs == rhs else "strict inequality"
+        elif equality != (tau == 3):
+            why = "equality" if equality else "strict inequality"
             violations.append({
                 "n": n,
                 "expected": "equality exactly when n is a prime squared",
@@ -360,31 +368,17 @@ def _sigma_bounds_chunk(lo, hi, params):
         if tau % 2:  # tau is odd exactly for perfect squares
             continue
         applicable += 1
-        # so is n * sigma_{e,-1}: with tau even, n/d_i = d_{tau+1-i} maps even ranks onto odd
-        bad = []
-        if tau - 2 + n > se:
-            bad.append("sigma_e_lower")
-        if 4 * se > (tau + 2) * n:
-            bad.append("sigma_e_upper")
-        if 4 * so > (tau - 2) * n + 4:
-            bad.append("reciprocal_lower")
-        if so < tau - 1:
-            bad.append("reciprocal_upper")
-        if 4 * (tau - 2 + n) * so > ((tau - 2) * n + 4) * se:
-            bad.append("combined_lower")
-        if 4 * (tau - 1) * se > n * (tau + 2) * so:
-            bad.append("combined_upper")
-        if tau == 2 and se != n * so:
-            bad.append("prime_case")
-        if tau == 6 and ((n + 4) * so > (n + 1) * se or 5 * se > 2 * n * so):
-            bad.append("tau6_bullet")
+        clauses = _sigma_bounds_clauses(n, tau, se, so)
+        if all(clauses.values()):
+            continue
+        bad = [name for name, ok in clauses.items() if not ok and name != "tau4_bullet"]
         if bad:
             violations.append({
                 "n": n,
                 "expected": "bound chain holds",
                 "actual": "failed clauses: " + ",".join(bad),
             })
-        if tau == 4 and (2 * so > se or 4 * se > n * so):
+        if not clauses.get("tau4_bullet", True):
             tau4_failures.append(n)
     return {"violations": violations, "applicable": applicable, "tau4_failures": tau4_failures}
 

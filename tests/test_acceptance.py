@@ -331,15 +331,15 @@ class TestCriterion5ConjectureScans:
 
 
 class TestCriterion6OracleEquivalence:
-    def test_c6(self, oracle_div_lists, sieve_10k):
+    def test_c6(self, oracle_div_lists):
         for n in range(1, ORACLE_LIMIT + 1):
             divs = oracle_div_lists[n]
             se, so = oracle_parity_sums(divs, 1)
-            prof = profile(n, sieve_10k)
+            prof = profile(n)
             assert list(prof.divisors) == divs
             assert (prof.sigma_e, prof.sigma_o) == (se, so)
             assert prof.k == Fraction(se, so)
-        report_line("C6 (sieve pipeline == trial-division oracle to 1e4): PASS")
+        report_line("C6 (profile pipeline == trial-division oracle to 1e4): PASS")
 
 
 class TestCriterion7Pairing:
@@ -370,12 +370,12 @@ class TestCriterion7Pairing:
         assert report.applicable == applicable
         assert ns == breakers
 
-    def test_c7_holds_outside_the_single_counterexample(self, sieve_10k):
+    def test_c7_holds_outside_the_single_counterexample(self):
         # green companion: all other prime-k tau<=8 numbers <= 1e4 do pair
         report = scan_pairing(10_000)
         assert sorted({v["n"] for v in report.violations}) == [2431]
         assert report.applicable > 3000
-        prof = profile(2431, sieve_10k)
+        prof = profile(2431)
         assert prof.k == 7 and prof.tau == 8
         report_line("C7 (companion): PASS - 2431 is the only breaker below 1e4")
 

@@ -30,9 +30,9 @@ class TestIsIndexRatio:
         assert not is_index_ratio(4)   # 2 / 5
         assert is_index_ratio(1)       # 1 divides 0
 
-    def test_matches_k_denominator(self, sieve_10k):
+    def test_matches_k_denominator(self):
         for n in range(1, 2000):
-            assert is_index_ratio(n, sieve_10k) == (k_ratio(n, sieve_10k).denominator == 1)
+            assert is_index_ratio(n) == (k_ratio(n).denominator == 1)
 
 
 class TestScanRange:
@@ -67,11 +67,11 @@ class TestScanRange:
         for n in (1, 4, 12, 36, 2431, 9973, 10_000):
             assert n in table.members(k_ratio(n))
 
-    def test_every_member_keyed_by_its_own_k(self, sieve_10k):
+    def test_every_member_keyed_by_its_own_k(self):
         table = scan_range(1, 10_000)
         for k, members in table.classes.items():
             for n in members:
-                assert k_ratio(n, sieve_10k) == k
+                assert k_ratio(n) == k
 
     def test_worker_count_invariance(self):
         base = scan_range(1, 20_000, chunk_size=4096)

@@ -241,6 +241,20 @@ class TestOutAndDeterminism:
         assert code == 2
         assert "configuration" in err
 
+    @pytest.mark.parametrize("field,value", [("last_n", "512"), ("last_n", None),
+                                             ("state", [])],
+                             ids=["last_n-string", "last_n-null", "state-list"])
+    def test_malformed_checkpoint_field_exits_2(self, capsys, tmp_path, field, value):
+        ck = tmp_path / "t.ck"
+        argv = ["table", "--max", "2000", "--chunk-size", "512", "--checkpoint", str(ck)]
+        run_cli(capsys, *argv, "--max-chunks", "1")
+        doc = json.loads(ck.read_text())
+        doc[field] = value
+        ck.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "malformed" in err
+
 
 class TestConfigPrecedence:
     def test_config_file_supplies_defaults(self, capsys, tmp_path):

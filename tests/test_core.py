@@ -164,11 +164,10 @@ class TestRankSums:
     def test_far_window_matches_divisor_expansion(self):
         # one walk block of 2^14 n, converted to Python ints in two parts
         hi = 2**24 - 1
-        table = build_spf_sieve(hi)._table
         ns = range(hi - 2**14 + 1, hi + 1)
         expected = []
         for n in ns:
-            d = core._divisors_from_spf(n, table)
+            d = divisors_sorted(factorize(n))
             expected.append((n, len(d), d[1], sum(d[1::2]), sum(d[0::2]), _oracle_pairing(d)))
         assert list(rank_sums(ns)) == expected
 

@@ -102,9 +102,9 @@ class TestKRatio:
     def test_primes(self, p):
         assert k_ratio(p) == Fraction(p)
 
-    def test_profile_consistency(self, sieve_10k):
+    def test_profile_consistency(self):
         for n in (1, 12, 36, 45, 9999):
-            prof = profile(n, sieve_10k)
+            prof = profile(n)
             assert prof.k == k_ratio(n)
             assert prof.tau == len(prof.divisors)
             assert prof.sigma_e + prof.sigma_o == sum(prof.divisors)

@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +37,7 @@ from divrank import cli
 from divrank.classify import enumerate_index_ratio, scan_range
 from divrank.scanner import CHUNK_SIZE_DEFAULT
 from divrank.theorems import BOUNDED_EVIDENCE
-from conftest import oracle_divisors, oracle_k
+from conftest import ORACLE_LIMIT, oracle_divisors, oracle_k
 
 # Oracle-verified counterexamples to the published pairing claim and the
 # three conjectures (each re-derivable from n alone; see also the scans
@@ -44,6 +45,34 @@ from conftest import oracle_divisors, oracle_k
 PAIRING_BREAKERS_1E4 = [2431]                  # k=7 prime, tau=8, d2=11
 CONJ1_VIOLATIONS_1E4 = [2431, 8569]            # k=7 vs d2=11; k=9 vs d2=11
 CONJ3_COLLISIONS_1E4 = {Fraction(108, 481): [1225, 3025]}
+
+
+def _paper_sigma_bounds(n, divs):
+    """The bound chain at a non-square n as the paper states it: Fractions,
+    with the reciprocal clauses on the literal 1/sigma_{e,-1}."""
+    tau = len(divs)
+    se = sum(divs[1::2])
+    k = Fraction(se, sum(divs[0::2]))
+    rec = 1 / sum(Fraction(1, d) for d in divs[1::2])
+    clauses = {
+        "sigma_e_lower": Fraction(tau - 2 + n) <= se,
+        "sigma_e_upper": se <= Fraction((tau + 2) * n, 4),
+        "reciprocal_lower": Fraction(4 * n, (tau - 2) * n + 4) <= rec,
+        "reciprocal_upper": rec <= Fraction(n, tau - 1),
+        "combined_lower": Fraction(4 * (tau - 2 + n), (tau - 2) * n + 4) <= k,
+        "combined_upper": k <= Fraction(n * (tau + 2), 4 * (tau - 1)),
+    }
+    if tau == 2:
+        clauses["prime_case"] = k == n
+    elif tau == 4:
+        clauses["tau4_bullet"] = 2 <= k <= Fraction(n, 4)
+    elif tau == 6:
+        clauses["tau6_bullet"] = Fraction(n + 4, n + 1) <= k <= Fraction(2 * n, 5)
+    return clauses
+
+
+def _oracle_k_and_d2(divs):
+    return Fraction(sum(divs[1::2]), sum(divs[0::2])), divs[1]
 
 
 class TestUpperBound:
@@ -65,6 +94,14 @@ class TestUpperBound:
         if r * r == n or (r + 1) ** 2 == n:
             return
         assert check_upper_bound(n)
+
+    def test_verdict_matches_fraction_statement_to_1e4(self, oracle_div_lists):
+        for n in range(2, ORACLE_LIMIT + 1):
+            divs = oracle_div_lists[n]
+            if len(divs) % 2:
+                continue
+            k, d2 = _oracle_k_and_d2(divs)
+            assert check_upper_bound(n) == (k < d2 + Fraction(1, d2)), n
 
     def test_scan_small(self):
         report = scan_upper_bound(10_000)
@@ -115,6 +152,14 @@ class TestLowerBound:
         with pytest.raises(Inapplicable):
             check_lower_bound(1)
 
+    def test_fields_match_fraction_statement_on_squares_to_1e4(self, oracle_div_lists):
+        for r in range(2, isqrt(ORACLE_LIMIT) + 1):
+            n = r * r
+            k, d2 = _oracle_k_and_d2(oracle_div_lists[n])
+            bound = Fraction(d2, d2 * d2 + 1)
+            result = check_lower_bound(n)
+            assert (result.holds, result.equality) == (k >= bound, k == bound), n
+
     def test_scan_equality_iff_prime_square(self):
         report = scan_lower_bound(100_000)
         assert report.status == "verified"
@@ -148,6 +193,15 @@ class TestSigmaBounds:
         if r * r == n:
             return
         assert check_sigma_bounds(n).core_ok
+
+    def test_clauses_match_fraction_statement_to_1e4(self, oracle_div_lists):
+        for n in range(2, ORACLE_LIMIT + 1):
+            divs = oracle_div_lists[n]
+            if len(divs) % 2:
+                continue
+            r = check_sigma_bounds(n)
+            assert r.tau == len(divs)
+            assert list(r.clauses.items()) == list(_paper_sigma_bounds(n, divs).items()), n
 
     def test_scan_reports_tau4_advisory(self):
         report = scan_sigma_bounds(10_000)
