@@ -102,8 +102,15 @@ def _lower_bound_verdict(d2, se, so):
     return lhs >= rhs, lhs == rhs
 
 
-def _sigma_bounds_clauses(n, tau, se, so):
-    """The bound chain at a non-square n, each clause cross-multiplied.
+_CHAIN_CLAUSES = ("sigma_e_lower", "sigma_e_upper", "reciprocal_lower", "reciprocal_upper",
+                  "combined_lower", "combined_upper")
+_TAU_CLAUSES = {2: ("prime_case",), 4: ("tau4_bullet",), 6: ("tau6_bullet",)}
+
+
+def _sigma_bounds_holds(n, tau, se, so):
+    """The bound chain at a non-square n, each clause cross-multiplied, in the
+    order of _CHAIN_CLAUSES and then _TAU_CLAUSES[tau]. A tuple, not a dict:
+    range scans test every n and build the dict only when a clause fails.
 
     Exact for the Fraction statement: so = n sigma_{e,-1}, because with tau
     even n/d_i = d_{tau+1-i} maps even ranks onto odd ones.
@@ -111,21 +118,26 @@ def _sigma_bounds_clauses(n, tau, se, so):
     low = tau - 2 + n  # sigma_e >= low
     high4 = (tau + 2) * n  # 4 sigma_e <= high4
     rec4 = (tau - 2) * n + 4  # 1/sigma_{e,-1} >= 4n/rec4
-    clauses = {
-        "sigma_e_lower": low <= se,
-        "sigma_e_upper": 4 * se <= high4,
-        "reciprocal_lower": 4 * so <= rec4,
-        "reciprocal_upper": so >= tau - 1,
-        "combined_lower": 4 * low * so <= rec4 * se,
-        "combined_upper": 4 * (tau - 1) * se <= high4 * so,
-    }
-    if tau == 2:
-        clauses["prime_case"] = se == n * so
-    elif tau == 4:
-        clauses["tau4_bullet"] = 2 * so <= se and 4 * se <= n * so
-    elif tau == 6:
-        clauses["tau6_bullet"] = (n + 4) * so <= (n + 1) * se and 5 * se <= 2 * n * so
-    return clauses
+    holds = (
+        low <= se,  # sigma_e_lower
+        4 * se <= high4,  # sigma_e_upper
+        4 * so <= rec4,  # reciprocal_lower
+        so >= tau - 1,  # reciprocal_upper
+        4 * low * so <= rec4 * se,  # combined_lower
+        4 * (tau - 1) * se <= high4 * so,  # combined_upper
+    )
+    if tau == 2:  # prime_case: k = n
+        return holds + (se == n * so,)
+    if tau == 4:  # tau4_bullet: 2 <= k <= n/4
+        return holds + (2 * so <= se and 4 * se <= n * so,)
+    if tau == 6:  # tau6_bullet: (n+4)/(n+1) <= k <= 2n/5
+        return holds + ((n + 4) * so <= (n + 1) * se and 5 * se <= 2 * n * so,)
+    return holds
+
+
+def _sigma_bounds_clauses(n, tau, se, so):
+    names = _CHAIN_CLAUSES + _TAU_CLAUSES.get(tau, ())
+    return dict(zip(names, _sigma_bounds_holds(n, tau, se, so)))
 
 
 def check_upper_bound(n: int) -> bool:
@@ -368,9 +380,9 @@ def _sigma_bounds_chunk(lo, hi, params):
         if tau % 2:  # tau is odd exactly for perfect squares
             continue
         applicable += 1
-        clauses = _sigma_bounds_clauses(n, tau, se, so)
-        if all(clauses.values()):
+        if all(_sigma_bounds_holds(n, tau, se, so)):
             continue
+        clauses = _sigma_bounds_clauses(n, tau, se, so)
         bad = [name for name, ok in clauses.items() if not ok and name != "tau4_bullet"]
         if bad:
             violations.append({

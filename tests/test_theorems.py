@@ -36,7 +36,7 @@ from divrank import (
 from divrank import cli
 from divrank.classify import enumerate_index_ratio, scan_range
 from divrank.scanner import CHUNK_SIZE_DEFAULT
-from divrank.theorems import BOUNDED_EVIDENCE
+from divrank.theorems import BOUNDED_EVIDENCE, _sigma_bounds_clauses
 from conftest import ORACLE_LIMIT, oracle_divisors, oracle_k
 
 # Oracle-verified counterexamples to the published pairing claim and the
@@ -47,13 +47,10 @@ CONJ1_VIOLATIONS_1E4 = [2431, 8569]            # k=7 vs d2=11; k=9 vs d2=11
 CONJ3_COLLISIONS_1E4 = {Fraction(108, 481): [1225, 3025]}
 
 
-def _paper_sigma_bounds(n, divs):
-    """The bound chain at a non-square n as the paper states it: Fractions,
-    with the reciprocal clauses on the literal 1/sigma_{e,-1}."""
-    tau = len(divs)
-    se = sum(divs[1::2])
-    k = Fraction(se, sum(divs[0::2]))
-    rec = 1 / sum(Fraction(1, d) for d in divs[1::2])
+def _paper_sigma_bounds(n, tau, se, so, rec):
+    """The bound chain at a non-square n as the paper states it, in Fractions;
+    `rec` is 1/sigma_{e,-1}."""
+    k = Fraction(se, so)
     clauses = {
         "sigma_e_lower": Fraction(tau - 2 + n) <= se,
         "sigma_e_upper": se <= Fraction((tau + 2) * n, 4),
@@ -199,9 +196,22 @@ class TestSigmaBounds:
             divs = oracle_div_lists[n]
             if len(divs) % 2:
                 continue
+            rec = 1 / sum(Fraction(1, d) for d in divs[1::2])
+            paper = _paper_sigma_bounds(n, len(divs), sum(divs[1::2]), sum(divs[0::2]), rec)
             r = check_sigma_bounds(n)
             assert r.tau == len(divs)
-            assert list(r.clauses.items()) == list(_paper_sigma_bounds(n, divs).items()), n
+            assert list(r.clauses.items()) == list(paper.items()), n
+
+    def test_each_clause_matches_fraction_statement_where_it_fails(self):
+        # at real n every clause but tau4_bullet holds, so the test above cannot
+        # tell them apart; arbitrary sums make each clause fail, at equality too
+        for n in (6, 12):
+            for tau in (2, 4, 6, 8):
+                for se in range(1, 4 * n):
+                    for so in range(1, 2 * n):
+                        got = _sigma_bounds_clauses(n, tau, se, so)
+                        paper = _paper_sigma_bounds(n, tau, se, so, Fraction(n, so))
+                        assert list(got.items()) == list(paper.items()), (n, tau, se, so)
 
     def test_scan_reports_tau4_advisory(self):
         report = scan_sigma_bounds(10_000)
