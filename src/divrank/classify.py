@@ -49,8 +49,8 @@ def _irn_chunk(lo, hi, params):
                         if se % so == 0]}
 
 
-register_task("gk", _gk_chunk)
-register_task("irn", _irn_chunk)
+register_task("gk", _gk_chunk, {"classes": {}})
+register_task("irn", _irn_chunk, {"members": []})
 
 
 def scan_range(lo: int, hi: int, *, workers: int = 1, chunk_size: int = CHUNK_SIZE_DEFAULT,

@@ -1,4 +1,4 @@
-"""Exact integer substrate: factorization, SPF sieve, ordered divisors, rationals.
+"""Exact integer substrate: factorization, ordered divisors, the rank-sum kernel, rationals.
 
 All arithmetic uses Python's arbitrary-precision integers, so divisor sums
 can never overflow or wrap. The one exception is the block rank-sum kernel,
@@ -12,19 +12,11 @@ positive denominator and renders as "num/den" (eliding "/1").
 from __future__ import annotations
 
 import re
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 import numpy as np
-
-DEFAULT_SIEVE_MEMORY_BYTES = 512 * 1024 * 1024
-
-
-class SieveMemoryError(MemoryError):
-    """Requested sieve limit exceeds the configured memory budget."""
-
 
 class Inapplicable(ValueError):
     """Input lies outside the domain a check is stated for."""
@@ -143,57 +135,11 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(factors))
 
 
-class SpfSieve:
-    """Immutable smallest-prime-factor table for 2 <= m <= limit.
-
-    Safe to share across workers; lookups are O(1) and factorization via
-    the table is O(log n).
-    """
-
-    def __init__(self, limit: int, table: array):
-        self.limit = limit
-        self._table = table
-
-    def smallest_factor(self, m: int) -> int:
-        if not 2 <= m <= self.limit:
-            raise ValueError(f"query {m} outside sieve range [2, {self.limit}]")
-        return self._table[m]
-
-    def is_prime(self, m: int) -> bool:
-        return m >= 2 and self._table[m] == m
-
-    def factorize(self, n: int) -> Factorization:
-        if n < 1:
-            raise ValueError(f"factorize requires n >= 1, got {n}")
-        if n > self.limit:
-            return factorize(n)
-        spf = self._table
-        factors = []
-        m = n
-        while m > 1:
-            p = spf[m]
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors.append((p, e))
-        return Factorization(n, tuple(factors))
-
-
-def build_spf_sieve(limit: int, memory_budget: int = DEFAULT_SIEVE_MEMORY_BYTES) -> SpfSieve:
-    """Smallest-prime-factor table up to `limit` (vectorized construction).
-
-    Raises SieveMemoryError when the table would exceed `memory_budget` bytes.
-    """
+# kept only for perfbench's setup_s until ROADMAP item 1 re-points that metric
+def build_spf_sieve(limit: int) -> np.ndarray:
+    """Smallest-prime-factor table for 0 <= m <= `limit` as an int32 array."""
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    # int32 table plus a transient numpy copy during construction
-    needed = 8 * (limit + 1)
-    if needed > memory_budget:
-        raise SieveMemoryError(
-            f"sieve to {limit} needs about {needed} bytes, over the {memory_budget}-byte budget; "
-            "raise memory_budget to allow it"
-        )
     spf = np.zeros(limit + 1, dtype=np.int32)
     spf[2::2] = 2
     for p in range(3, isqrt(limit) + 1, 2):
@@ -203,9 +149,7 @@ def build_spf_sieve(limit: int, memory_budget: int = DEFAULT_SIEVE_MEMORY_BYTES)
     # remaining zeros at odd positions are primes above sqrt(limit)
     rest = np.nonzero(spf == 0)[0]
     spf[rest] = rest
-    table = array("i")
-    table.frombytes(spf.astype(np.int32, copy=False).tobytes())
-    return SpfSieve(limit, table)
+    return spf
 
 
 _BLOCK = 8192  # rows converted to Python ints at a time: bounds the kernel's int lists

@@ -8,6 +8,8 @@ boundary resumes from its checkpoint to the same result.
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import hashlib
 import json
 import multiprocessing
@@ -28,13 +30,10 @@ _TASKS: dict[str, tuple] = {}
 def merge_fragments(state, frag):
     """Fold a chunk's fragment into the running state, in chunk order.
 
-    Ints add, lists extend, and dicts of lists extend per key; the first
-    fragment's values are taken over as they are.
+    Ints add, lists extend, and dicts of lists extend per key.
     """
     for key, value in frag.items():
-        if key not in state:
-            state[key] = value
-        elif isinstance(value, dict):
+        if isinstance(value, dict):
             acc = state[key]
             for k, members in value.items():
                 acc.setdefault(k, []).extend(members)
@@ -43,8 +42,9 @@ def merge_fragments(state, frag):
     return state
 
 
-def register_task(name, chunk_fn):
-    _TASKS[name] = (chunk_fn, merge_fragments, dict)
+def register_task(name, chunk_fn, empty):
+    """`empty` is the task's state before any chunk: every key its fragments carry."""
+    _TASKS[name] = (chunk_fn, merge_fragments, lambda: copy.deepcopy(empty))
 
 
 def _run_chunk(args):
@@ -89,9 +89,18 @@ def load_checkpoint(path, task, config_hash):
         raise CheckpointError(f"checkpoint {path} was written under a different configuration")
     last_n, state = doc.get("last_n"), doc.get("state")
     # type(), not isinstance(): JSON true would pass as the int 1
-    if type(last_n) is not int or not isinstance(state, dict):
+    if type(last_n) is not int or not _same_shape(state, _TASKS[task][2]()):
         raise CheckpointError(f"checkpoint {path} has a missing or malformed last_n or state")
     return last_n, state
+
+
+def _same_shape(state, empty):
+    """`state` has exactly the keys of `empty`, each of the same type; dicts hold lists."""
+    if type(state) is not dict or state.keys() != empty.keys():
+        return False
+    return all(type(value) is type(empty[key]) and
+               (type(value) is not dict or all(type(m) is list for m in value.values()))
+               for key, value in state.items())
 
 
 def run_scan(task, lo, hi, params=None, *, workers=1, chunk_size=CHUNK_SIZE_DEFAULT,
@@ -111,7 +120,7 @@ def run_scan(task, lo, hi, params=None, *, workers=1, chunk_size=CHUNK_SIZE_DEFA
     if max_chunks is not None and not checkpoint:
         raise ValueError("max_chunks requires a checkpoint path to resume from")
     params = dict(params or {})
-    chunk_fn, merge_fn, empty_fn = _TASKS[task]
+    _, merge_fn, empty_fn = _TASKS[task]
     digest = config_digest(task, lo, hi, chunk_size, params)
 
     state = empty_fn()
@@ -129,18 +138,14 @@ def run_scan(task, lo, hi, params=None, *, workers=1, chunk_size=CHUNK_SIZE_DEFA
     todo = chunks if max_chunks is None else chunks[:max_chunks]
     interrupted = len(todo) < len(chunks)
 
-    if workers <= 1 or len(todo) <= 1:
-        for a, b in todo:
-            state = merge_fn(state, chunk_fn(a, b, params))
+    jobs = [(task, a, b, params) for a, b in todo]
+    parallel = workers > 1 and len(todo) > 1
+    with multiprocessing.Pool(workers) if parallel else contextlib.nullcontext() as pool:
+        frags = pool.imap(_run_chunk, jobs) if parallel else map(_run_chunk, jobs)
+        for (a, b), frag in zip(todo, frags):
+            state = merge_fn(state, frag)
             if checkpoint:
                 save_checkpoint(checkpoint, task, digest, b, state)
-    else:
-        jobs = [(task, a, b, params) for a, b in todo]
-        with multiprocessing.Pool(workers) as pool:
-            for (a, b), frag in zip(todo, pool.imap(_run_chunk, jobs)):
-                state = merge_fn(state, frag)
-                if checkpoint:
-                    save_checkpoint(checkpoint, task, digest, b, state)
 
     if interrupted:
         raise ScanInterrupted(checkpoint, todo[-1][1])

@@ -454,15 +454,14 @@ def _conjecture3_chunk(lo, hi, params):
     return {"seen": seen}
 
 
-register_task("upper_bound", _upper_bound_chunk)
-register_task("lower_bound", _lower_bound_chunk)
-register_task("sigma_bounds", _sigma_bounds_chunk)
-register_task("pairing", _pairing_chunk)
-register_task("conjecture1", _conjecture1_chunk)
-register_task("conjecture3", _conjecture3_chunk)
-
-
-register_task("conjecture2", _pairing_chunk)  # the pairing sweep with no tau cap
+_TALLY = {"violations": [], "applicable": 0}
+register_task("upper_bound", _upper_bound_chunk, _TALLY)
+register_task("lower_bound", _lower_bound_chunk, _TALLY)
+register_task("sigma_bounds", _sigma_bounds_chunk, {**_TALLY, "tau4_failures": []})
+register_task("pairing", _pairing_chunk, _TALLY)
+register_task("conjecture1", _conjecture1_chunk, _TALLY)
+register_task("conjecture3", _conjecture3_chunk, {"seen": {}})
+register_task("conjecture2", _pairing_chunk, _TALLY)  # the pairing sweep with no tau cap
 
 
 # ---------------------------------------------------------------------------

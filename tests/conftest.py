@@ -11,8 +11,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from divrank import build_spf_sieve
-
 ORACLE_LIMIT = 10_000
 
 
@@ -69,11 +67,6 @@ def oracle_div_lists():
     for n in range(1, ORACLE_LIMIT + 1):
         lists[n] = oracle_divisors(n)
     return lists
-
-
-@pytest.fixture(scope="session")
-def sieve_10k():
-    return build_spf_sieve(ORACLE_LIMIT)
 
 
 ACCEPTANCE_LINES = []

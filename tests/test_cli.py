@@ -17,6 +17,10 @@ def validator():
     return Draft202012Validator(schema)
 
 
+TABLE = ("table",)
+UPPER_BOUND = ("verify", "upper-bound")
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -241,15 +245,24 @@ class TestOutAndDeterminism:
         assert code == 2
         assert "configuration" in err
 
-    @pytest.mark.parametrize("field,value", [("last_n", "512"), ("last_n", None),
-                                             ("state", [])],
-                             ids=["last_n-string", "last_n-null", "state-list"])
-    def test_malformed_checkpoint_field_exits_2(self, capsys, tmp_path, field, value):
+    @pytest.mark.parametrize("command,mutate", [
+        (TABLE, lambda doc: doc.update(last_n="512")),
+        (TABLE, lambda doc: doc.update(last_n=None)),
+        (TABLE, lambda doc: doc.update(state=[])),
+        (TABLE, lambda doc: doc["state"].pop("classes")),
+        (TABLE, lambda doc: doc["state"].update(members=[])),
+        (TABLE, lambda doc: doc["state"]["classes"].update({"2": 7})),
+        (UPPER_BOUND, lambda doc: doc["state"].update(violations=5)),
+        (UPPER_BOUND, lambda doc: doc["state"].update(applicable=True)),
+    ], ids=["last_n-string", "last_n-null", "state-list", "state-missing-field",
+            "state-extra-field", "state-class-int", "state-violations-int",
+            "state-applicable-bool"])
+    def test_malformed_checkpoint_field_exits_2(self, capsys, tmp_path, command, mutate):
         ck = tmp_path / "t.ck"
-        argv = ["table", "--max", "2000", "--chunk-size", "512", "--checkpoint", str(ck)]
+        argv = [*command, "--max", "2000", "--chunk-size", "512", "--checkpoint", str(ck)]
         run_cli(capsys, *argv, "--max-chunks", "1")
         doc = json.loads(ck.read_text())
-        doc[field] = value
+        mutate(doc)
         ck.write_text(json.dumps(doc))
         code, _, err = run_cli(capsys, *argv)
         assert code == 2

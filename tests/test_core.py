@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import divrank
 from divrank import (
     Factorization,
-    SieveMemoryError,
-    build_spf_sieve,
     divisors_sorted,
     factorize,
     format_rational,
@@ -55,35 +54,18 @@ class TestFactorize:
         assert primes == sorted(set(primes))
 
 
-class TestSpfSieve:
-    def test_small_queries(self):
-        sieve = build_spf_sieve(10)
-        assert sieve.smallest_factor(9) == 3
-        assert sieve.smallest_factor(7) == 7
-        assert sieve.smallest_factor(10) == 2
+class TestPublicSurface:
+    def test_every_exported_name_resolves(self):
+        for name in divrank.__all__:
+            assert hasattr(divrank, name), name
+        namespace = {}
+        exec("from divrank import *", namespace)
+        assert set(divrank.__all__) <= namespace.keys()
 
-    def test_out_of_range_query(self):
-        sieve = build_spf_sieve(10)
-        with pytest.raises(ValueError):
-            sieve.smallest_factor(11)
-        with pytest.raises(ValueError):
-            sieve.smallest_factor(1)
-
-    def test_agrees_with_trial_division_exhaustively(self, sieve_10k):
-        for n in range(1, ORACLE_LIMIT + 1):
-            assert sieve_10k.factorize(n) == factorize(n)
-
-    def test_is_prime_table(self, sieve_10k):
-        for n in range(2, 500):
-            assert sieve_10k.is_prime(n) == is_prime(n)
-
-    def test_memory_budget(self):
-        with pytest.raises(SieveMemoryError):
-            build_spf_sieve(10**9, memory_budget=10**6)
-
-    def test_falls_back_above_limit(self):
-        sieve = build_spf_sieve(100)
-        assert sieve.factorize(101 * 103).factors == ((101, 1), (103, 1))
+    def test_spf_table_is_not_exported(self):
+        for name in ("SpfSieve", "SieveMemoryError", "build_spf_sieve"):
+            assert name not in divrank.__all__
+            assert not hasattr(divrank, name)
 
 
 class TestDivisorsSorted:

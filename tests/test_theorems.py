@@ -482,6 +482,11 @@ class TestWithoutSpfTable:
         # several chunks each, so that two workers really fork a pool; the
         # fork copies the patched modules into the workers
         chunked = {"workers": workers, "chunk_size": 2500}
+        flags = ["--max", "10000", "--workers", str(workers), "--chunk-size", "2500"]
+
+        def command(*argv):
+            return lambda: (cli.main(list(argv)), capsys.readouterr())
+
         scans = {
             "upper-bound": lambda: scan_upper_bound(10**4, **chunked),
             "lower-bound": lambda: scan_lower_bound(10**4, **chunked),
@@ -490,13 +495,22 @@ class TestWithoutSpfTable:
             "scan_range": lambda: scan_range(1, 10**4, **chunked),
             # takes no chunk size: two default chunks
             "irn": lambda: enumerate_index_ratio(CHUNK_SIZE_DEFAULT + 10**4, workers=workers),
-            "irn csv": lambda: (cli.main(["irn", "--max", "10000", "--format", "csv",
-                                          "--workers", str(workers)]), capsys.readouterr()),
+            "irn csv": command("irn", "--format", "csv", *flags[:4]),
+            # json: the bytes carry no timing
+            "sigma-bounds": command("verify", "sigma-bounds", "--format", "json", *flags),
+            "conjecture-1": command("scan", "1", "--format", "json", *flags),
+            "conjecture-2": command("scan", "2", "--format", "json", *flags),
+            "multiplier": command("verify", "multiplier", "--format", "json", *flags),
+            "prime-power-distinct": command("verify", "prime-power-distinct",
+                                            "--format", "json", *flags),
+            "unit-fraction": command("verify", "unit-fraction", "--format", "json", *flags),
+            "profile": command("profile", "10000", "--format", "json"),
+            "table --k": command("table", "--k", "2", "--k", "3", "--format", "json", *flags),
         }
         expected = {name: _untimed(scan()) for name, scan in scans.items()}
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a range scan built an SPF table")
+            raise AssertionError("a command built an SPF table")
 
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "divrank" and hasattr(module, "build_spf_sieve"):
