@@ -495,7 +495,8 @@ class TestWithoutSpfTable:
             "scan_range": lambda: scan_range(1, 10**4, **chunked),
             # takes no chunk size: two default chunks
             "irn": lambda: enumerate_index_ratio(CHUNK_SIZE_DEFAULT + 10**4, workers=workers),
-            "irn csv": command("irn", "--format", "csv", *flags[:4]),
+            "irn csv": command("irn", "--format", "csv", "--max", "10000",
+                               "--workers", str(workers)),
             # json: the bytes carry no timing
             "sigma-bounds": command("verify", "sigma-bounds", "--format", "json", *flags),
             "conjecture-1": command("scan", "1", "--format", "json", *flags),
