@@ -36,15 +36,20 @@ def is_index_ratio(n: int) -> bool:
     return se % so == 0
 
 
-def _gk_chunk(lo, hi, params):
+def _class_key(se, so):
+    """k = se/so in lowest terms as "num/den", the JSON-safe key of a G_k class."""
+    g = gcd(se, so)
+    return f"{se // g}/{so // g}"
+
+
+def _gk_chunk(lo, hi):
     classes: dict[str, list[int]] = {}
     for n, tau, d2, se, so, paired in rank_sums(range(lo, hi + 1)):
-        g = gcd(se, so)
-        classes.setdefault(f"{se // g}/{so // g}", []).append(n)
+        classes.setdefault(_class_key(se, so), []).append(n)
     return {"classes": classes}
 
 
-def _irn_chunk(lo, hi, params):
+def _irn_chunk(lo, hi):
     return {"members": [n for n, tau, d2, se, so, paired in rank_sums(range(lo, hi + 1))
                         if se % so == 0]}
 

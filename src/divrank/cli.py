@@ -63,6 +63,7 @@ CHECKS = {
 VERIFY_CHECKS = tuple(name for name in CHECKS if not name.startswith("conjecture-"))
 
 CSV_PROFILE_COLUMNS = ("n", "tau", "sigma_e", "sigma_o", "k", "is_index_ratio")
+FORMATS = ("text", "csv", "json")
 
 
 def positive_int(text):
@@ -89,24 +90,25 @@ def _parse_bool(text):
 
 
 def _parse_format(text):
-    if text not in ("text", "csv", "json"):
+    if text not in FORMATS:
         raise ValueError(f"format must be text, csv, or json, got {text!r}")
     return text
 
 
-# settings that may come from a config file or DIVRANK_* environment variables
-SETTING_PARSERS = {
-    "max": positive_int,
-    "format": _parse_format,
-    "out": str,
-    "workers": positive_int,
-    "chunk_size": positive_int,
-    "checkpoint": str,
-    "max_chunks": positive_int,
-    "timing": _parse_bool,
-    "seed": int,
-    "samples": positive_int,
-    "k": lambda text: [rational_arg(part) for part in text.split(",") if part],
+# name -> (parser, default) of each setting a flag, a DIVRANK_* environment
+# variable or a config file key may give; help strings read the defaults here
+SETTINGS = {
+    "max": (positive_int, 100_000),
+    "format": (_parse_format, "text"),
+    "out": (str, None),
+    "workers": (positive_int, 1),
+    "chunk_size": (positive_int, CHUNK_SIZE_DEFAULT),
+    "checkpoint": (str, None),
+    "max_chunks": (positive_int, None),
+    "timing": (_parse_bool, False),
+    "seed": (int, 2),
+    "samples": (positive_int, 500),
+    "k": (lambda text: [rational_arg(part) for part in text.split(",") if part], ()),
 }
 
 
@@ -120,50 +122,37 @@ def load_config_file(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key not in SETTINGS:  # one file serves every subcommand, so any setting may appear
+                raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
+            values[key] = value.strip()
     return values
 
 
 def resolve_settings(parser, args):
-    """Fold config file and environment values into parsed args (CLI wins)."""
+    """Fill each setting the command line left unset from the environment, else the
+    config file, else its default; `args.defaulted` names those given nowhere."""
     try:
         file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
     except (OSError, ValueError) as exc:
         parser.error(f"cannot read config file: {exc}")
-    for name, parse in SETTING_PARSERS.items():
+    args.defaulted = set()
+    for name, (parse, default) in SETTINGS.items():
         if not hasattr(args, name) or getattr(args, name) is not None:
             continue
-        raw = os.environ.get(ENV_PREFIX + name.upper())
-        source = "environment variable " + ENV_PREFIX + name.upper()
-        if raw is None and name in file_values:
-            raw = file_values[name]
-            source = f"config file key {name!r}"
-        if raw is None:
+        env = ENV_PREFIX + name.upper()
+        if env in os.environ:
+            raw, source = os.environ[env], "environment variable " + env
+        elif name in file_values:
+            raw, source = file_values[name], f"config file key {name!r}"
+        else:
+            setattr(args, name, default)
+            args.defaulted.add(name)
             continue
         try:
             setattr(args, name, parse(raw))
         except (ValueError, argparse.ArgumentTypeError) as exc:
             parser.error(f"bad value in {source}: {exc}")
-    return args
-
-
-# values for settings given nowhere; the help strings read them from here
-DEFAULTS = {
-    "max": 100_000,
-    "format": "text",
-    "workers": 1,
-    "chunk_size": CHUNK_SIZE_DEFAULT,
-    "timing": False,
-    "seed": 2,
-    "samples": 500,
-    "k": [],
-}
-
-
-def _fill_defaults(args):
-    for name, value in DEFAULTS.items():
-        if hasattr(args, name) and getattr(args, name) is None:
-            setattr(args, name, value)
     return args
 
 
@@ -283,17 +272,11 @@ def render_report(report: ScanReport, fmt, timing):
         header = ("check", "lo", "hi", "status", "applicable", "elapsed_ms",
                   "n", "expected", "actual")
         elapsed_cell = "" if elapsed is None else elapsed
-        if report.violations:
-            body = [
-                (report.check, report.lo, report.hi, report.status,
-                 report.applicable, elapsed_cell,
-                 v["n"], v["expected"], v["actual"])
-                for v in report.violations
-            ]
-        else:
-            body = [(report.check, report.lo, report.hi, report.status,
-                     report.applicable, elapsed_cell, "", "", "")]
-        return _csv_text(body, header)
+        lead = (report.check, report.lo, report.hi, report.status, report.applicable, elapsed_cell)
+        tails = [(v["n"], v["expected"], v["actual"]) for v in report.violations]
+        if not tails:  # a clean report still gets one row, its violation cells empty
+            tails = [("", "", "")]
+        return _csv_text([lead + tail for tail in tails], header)
     lines = [
         f"check = {report.check}",
         f"range = [{report.lo}, {report.hi}]",
@@ -362,7 +345,7 @@ def cmd_table(args):
 def _run_check(check, args):
     scan, chunked = CHECKS[check]
     if check == "multiplier":  # without --max it keeps scan_multiplier's own n_max
-        n_max = {"n_max": args.max} if args.max_given else {}
+        n_max = {} if "max" in args.defaulted else {"n_max": args.max}
         report = scan(**n_max, samples=args.samples, seed=args.seed)
     elif chunked:
         report = scan(args.max, **_chunk_flags(args))
@@ -391,19 +374,19 @@ def cmd_irn(args):
 
 
 def _add_common(sub, scans=True):
-    sub.add_argument("--format", choices=("text", "csv", "json"), default=None,
-                     help=f"output format (default {DEFAULTS['format']})")
+    sub.add_argument("--format", choices=FORMATS, default=None,
+                     help=f"output format (default {SETTINGS['format'][1]})")
     sub.add_argument("--out", default=None, metavar="FILE",
                      help="write the payload to FILE instead of stdout")
     sub.add_argument("--config", default=None, metavar="FILE",
                      help="key=value file supplying defaults for any flag")
     if scans:
         sub.add_argument("--max", type=positive_int, default=None, metavar="N",
-                         help=f"scan limit (default {DEFAULTS['max']})")
+                         help=f"scan limit (default {SETTINGS['max'][1]})")
         sub.add_argument("--workers", type=positive_int, default=None, metavar="W",
                          help="worker processes; never changes output bytes")
         sub.add_argument("--chunk-size", type=positive_int, default=None, metavar="C",
-                         help=f"chunk length for range scans (default {DEFAULTS['chunk_size']})")
+                         help=f"chunk length for range scans (default {SETTINGS['chunk_size'][1]})")
         sub.add_argument("--checkpoint", default=None, metavar="FILE",
                          help="save/resume scan state in FILE")
         sub.add_argument("--max-chunks", type=positive_int, default=None, metavar="M",
@@ -432,26 +415,22 @@ def build_parser():
     v = subs.add_parser("verify", help="run one theorem suite over [1, max]")
     v.add_argument("check", choices=VERIFY_CHECKS)
     v.add_argument("--seed", type=int, default=None,
-                   help=f"sample seed for the multiplier check (default {DEFAULTS['seed']})")
+                   help=f"sample seed for the multiplier check (default {SETTINGS['seed'][1]})")
     v.add_argument("--samples", type=positive_int, default=None,
-                   help=f"sample count for the multiplier check (default {DEFAULTS['samples']})")
-    v.add_argument("--timing", action="store_const", const=True, default=None,
-                   help="embed wall time in json/csv output (breaks byte determinism)")
-    _add_common(v)
-    v.set_defaults(func=cmd_verify)
-
+                   help=f"sample count for the multiplier check (default {SETTINGS['samples'][1]})")
     s = subs.add_parser("scan", help="run a conjecture counterexample scan")
     s.add_argument("conjecture", type=int, choices=(1, 2, 3))
-    s.add_argument("--timing", action="store_const", const=True, default=None,
-                   help="embed wall time in json/csv output (breaks byte determinism)")
-    _add_common(s)
-    s.set_defaults(func=cmd_scan)
+    for sub, func in ((v, cmd_verify), (s, cmd_scan)):
+        sub.add_argument("--timing", action="store_const", const=True, default=None,
+                         help="embed wall time in json/csv output (breaks byte determinism)")
+        _add_common(sub)
+        sub.set_defaults(func=func)
 
     i = subs.add_parser("irn", help="list index ratio numbers up to max")
     i.add_argument("--workers", type=positive_int, default=None, metavar="W")
     _add_common(i, scans=False)
     i.add_argument("--max", type=positive_int, default=None, metavar="N",
-                   help=f"enumeration limit (default {DEFAULTS['max']})")
+                   help=f"enumeration limit (default {SETTINGS['max'][1]})")
     i.set_defaults(func=cmd_irn)
 
     return parser
@@ -461,8 +440,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     resolve_settings(parser, args)
-    args.max_given = getattr(args, "max", None) is not None
-    _fill_defaults(args)
     try:
         return args.func(args)
     except ScanInterrupted as exc:

@@ -18,9 +18,10 @@ import os
 from .core import KERNEL_BOUND, CheckpointError, ScanInterrupted
 
 CHUNK_SIZE_DEFAULT = 1 << 16
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_STATE_KEY = b',"state":'  # a checkpoint's last key: the state's bytes follow it
 
-# name -> (chunk_fn(lo, hi, params) -> fragment,
+# name -> (chunk_fn(lo, hi) -> fragment,
 #          merge_fn(state, fragment) -> state,
 #          empty_fn() -> state); fragments and state are JSON-safe.
 # perfbench/traced_cli.py wraps these triples and reads chunk_fn.__module__.
@@ -48,37 +49,41 @@ def register_task(name, chunk_fn, empty):
 
 
 def _run_chunk(args):
-    task, lo, hi, params = args
-    return _TASKS[task][0](lo, hi, params)
+    task, lo, hi = args
+    return _TASKS[task][0](lo, hi)
 
 
-def config_digest(task: str, lo: int, hi: int, chunk_size: int, params: dict) -> str:
+def config_digest(task: str, lo: int, hi: int, chunk_size: int) -> str:
     blob = json.dumps(
-        {"task": task, "lo": lo, "hi": hi, "chunk_size": chunk_size, "params": params},
+        {"task": task, "lo": lo, "hi": hi, "chunk_size": chunk_size},
         sort_keys=True,
     )
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def save_checkpoint(path, task, config_hash, last_n, state):
-    doc = {
+    """One JSON object with the state written last, serialized once: its digest
+    covers exactly those bytes, so load_checkpoint can hash them as read."""
+    body = json.dumps(state, separators=(",", ":")).encode()
+    head = json.dumps({
         "version": CHECKPOINT_VERSION,
         "task": task,
         "config_hash": config_hash,
         "last_n": last_n,
-        "state": state,
-    }
+        "state_sha256": hashlib.sha256(body).hexdigest(),
+    }, separators=(",", ":"))
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
+    with open(tmp, "wb") as fh:
+        fh.writelines((head[:-1].encode(), _STATE_KEY, body, b"}\n"))
     os.replace(tmp, path)
 
 
 def load_checkpoint(path, task, config_hash):
     """Validated (last_n, state) from a checkpoint written by save_checkpoint."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        doc = json.loads(raw)
     except (OSError, ValueError) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("version") != CHECKPOINT_VERSION:
@@ -91,6 +96,10 @@ def load_checkpoint(path, task, config_hash):
     # type(), not isinstance(): JSON true would pass as the int 1
     if type(last_n) is not int or not _same_shape(state, _TASKS[task][2]()):
         raise CheckpointError(f"checkpoint {path} has a missing or malformed last_n or state")
+    # an edited state can keep its shape yet change the result (a forged violation)
+    body = memoryview(raw)[raw.find(_STATE_KEY) + len(_STATE_KEY):-len(b"}\n")]
+    if hashlib.sha256(body).hexdigest() != doc.get("state_sha256"):
+        raise CheckpointError(f"checkpoint {path} has a malformed state (digest mismatch)")
     return last_n, state
 
 
@@ -103,7 +112,7 @@ def _same_shape(state, empty):
                for key, value in state.items())
 
 
-def run_scan(task, lo, hi, params=None, *, workers=1, chunk_size=CHUNK_SIZE_DEFAULT,
+def run_scan(task, lo, hi, *, workers=1, chunk_size=CHUNK_SIZE_DEFAULT,
              checkpoint=None, max_chunks=None):
     """Run a registered task over [lo, hi]; returns the merged final state.
 
@@ -119,9 +128,8 @@ def run_scan(task, lo, hi, params=None, *, workers=1, chunk_size=CHUNK_SIZE_DEFA
         raise ValueError("chunk_size must be >= 1")
     if max_chunks is not None and not checkpoint:
         raise ValueError("max_chunks requires a checkpoint path to resume from")
-    params = dict(params or {})
     _, merge_fn, empty_fn = _TASKS[task]
-    digest = config_digest(task, lo, hi, chunk_size, params)
+    digest = config_digest(task, lo, hi, chunk_size)
 
     state = empty_fn()
     start = lo
@@ -138,7 +146,7 @@ def run_scan(task, lo, hi, params=None, *, workers=1, chunk_size=CHUNK_SIZE_DEFA
     todo = chunks if max_chunks is None else chunks[:max_chunks]
     interrupted = len(todo) < len(chunks)
 
-    jobs = [(task, a, b, params) for a, b in todo]
+    jobs = [(task, a, b) for a, b in todo]
     parallel = workers > 1 and len(todo) > 1
     with multiprocessing.Pool(workers) if parallel else contextlib.nullcontext() as pool:
         frags = pool.imap(_run_chunk, jobs) if parallel else map(_run_chunk, jobs)

@@ -13,8 +13,9 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
+from .classify import _class_key
 from .core import (
     Factorization,
     HypothesisViolation,
@@ -27,14 +28,14 @@ from .core import (
     rank_sums,
 )
 from .scanner import CHUNK_SIZE_DEFAULT, register_task, run_scan
-from .sigma import is_perfect_square, k_ratio, parity_sums_int, profile
+from .sigma import is_perfect_square, k_ratio, profile
 
 BOUNDED_EVIDENCE = (
     "bounded evidence only: exhaustive scan of the stated range; "
     "no claim is made beyond it"
 )
 
-PAIRING_ALPHA_GRID = (-2, -1, 0, 1, 2, 3)
+PAIRING_TAU_CAP = 8  # the pairing theorem covers tau(n) <= 8
 
 
 @dataclass
@@ -66,7 +67,8 @@ class ScanReport:
     applicable: int = 0
 
 
-def _finish(check, lo, hi, violations, applicable, config, notes, t0) -> ScanReport:
+def _finish(check, lo, hi, violations, applicable, t0, notes=(), **config) -> ScanReport:
+    """The report of `check` over [lo, hi]; its config starts with check, lo and hi."""
     if applicable == 0:
         status = "inapplicable"
     elif violations:
@@ -80,7 +82,7 @@ def _finish(check, lo, hi, violations, applicable, config, notes, t0) -> ScanRep
         status=status,
         violations=violations,
         elapsed_ms=int((time.perf_counter() - t0) * 1000),
-        config=config,
+        config={"check": check, "lo": lo, "hi": hi, **config},
         notes=[*notes, BOUNDED_EVIDENCE],
         applicable=applicable,
     )
@@ -264,22 +266,15 @@ def check_upper_bound_optimality(p: int, q_list: list[int]) -> bool:
 
 
 def check_pairing(n: int) -> bool:
-    """For prime-integer k = p and tau(n) <= 8: d_{2j} = p d_{2j-1} for all j,
-    and sigma_{e,a}(n) = p^a sigma_{o,a}(n) exactly for a in -2..3."""
+    """For prime-integer k = p and tau(n) <= 8: d_{2j} = p d_{2j-1} for all j, which
+    gives sigma_{e,a}(n) = p^a sigma_{o,a}(n) for every a, term by term."""
     _, tau, d2, se, so, paired = _rank_row(divisor_list_of(n))
     k = Fraction(se, so)
     if k.denominator != 1 or not is_prime(k.numerator):
         raise Inapplicable(f"pairing is stated for prime integer k, got k({n}) = {k}")
-    if tau > 8:
-        raise Inapplicable(f"pairing theorem covers tau <= 8, got tau({n}) = {tau}")
-    p = k.numerator
-    if not (paired and p == d2):  # d_2j = p d_2j-1 for all j, j = 1 included
-        return False
-    for alpha in PAIRING_ALPHA_GRID:
-        sums = parity_sums_int(n, alpha)
-        if sums.sigma_e != Fraction(p) ** alpha * sums.sigma_o:
-            return False
-    return True
+    if tau > PAIRING_TAU_CAP:
+        raise Inapplicable(f"pairing theorem covers tau <= {PAIRING_TAU_CAP}, got tau({n}) = {tau}")
+    return paired and k.numerator == d2  # d_2j = p d_2j-1 for all j, j = 1 included
 
 
 def extend_with_prime(n: int, q: int) -> int:
@@ -329,7 +324,7 @@ def check_unit_fraction_gap(p: int, l: int) -> bool:
 # chunk tasks for the range scanners
 
 
-def _upper_bound_chunk(lo, hi, params):
+def _upper_bound_chunk(lo, hi):
     violations = []
     applicable = 0
     for n, tau, d2, se, so, paired in rank_sums(range(max(lo, 2), hi + 1)):
@@ -350,7 +345,7 @@ def _squares(lo, hi):
     return (r * r for r in range(isqrt(lo - 1) + 1, isqrt(hi) + 1))
 
 
-def _lower_bound_chunk(lo, hi, params):
+def _lower_bound_chunk(lo, hi):
     violations = []
     applicable = 0
     for n, tau, d2, se, so, paired in rank_sums(_squares(max(lo, 4), hi)):
@@ -372,7 +367,7 @@ def _lower_bound_chunk(lo, hi, params):
     return {"violations": violations, "applicable": applicable}
 
 
-def _sigma_bounds_chunk(lo, hi, params):
+def _sigma_bounds_chunk(lo, hi):
     violations = []
     tau4_failures = []
     applicable = 0
@@ -395,10 +390,9 @@ def _sigma_bounds_chunk(lo, hi, params):
     return {"violations": violations, "applicable": applicable, "tau4_failures": tau4_failures}
 
 
-def _pairing_chunk(lo, hi, params):
+def _pairing_chunk(lo, hi, tau_cap=PAIRING_TAU_CAP):
     violations = []
     applicable = 0
-    tau_cap = params.get("tau_cap")
     for n, tau, d2, se, so, paired in rank_sums(range(max(lo, 2), hi + 1)):
         if se % so:
             continue
@@ -416,11 +410,15 @@ def _pairing_chunk(lo, hi, params):
                 "actual": f"divisors {divisor_list_of(n)}",
             })
         # no power-identity grid: with the divisors paired as (d, p d), sigma_e,a =
-        # p^a sigma_o,a holds term by term for every a (check_pairing still evaluates it)
+        # p^a sigma_o,a holds term by term for every a
     return {"violations": violations, "applicable": applicable}
 
 
-def _conjecture1_chunk(lo, hi, params):
+def _conjecture2_chunk(lo, hi):
+    return _pairing_chunk(lo, hi, tau_cap=None)
+
+
+def _conjecture1_chunk(lo, hi):
     violations = []
     applicable = 0
     for n, tau, d2, se, so, paired in rank_sums(range(max(lo, 2), hi + 1)):
@@ -445,115 +443,101 @@ def _conjecture1_chunk(lo, hi, params):
     return {"violations": violations, "applicable": applicable}
 
 
-def _conjecture3_chunk(lo, hi, params):
+def _conjecture3_chunk(lo, hi):
     # domain: n = 1 and the perfect squares, the only integers with k < 1
     seen: dict[str, list[int]] = {}
     for n, tau, d2, se, so, paired in rank_sums(_squares(lo, hi)):
-        g = gcd(se, so)
-        seen.setdefault(f"{se // g}/{so // g}", []).append(n)
+        seen.setdefault(_class_key(se, so), []).append(n)
     return {"seen": seen}
 
 
 _TALLY = {"violations": [], "applicable": 0}
-register_task("upper_bound", _upper_bound_chunk, _TALLY)
-register_task("lower_bound", _lower_bound_chunk, _TALLY)
-register_task("sigma_bounds", _sigma_bounds_chunk, {**_TALLY, "tau4_failures": []})
+register_task("upper-bound", _upper_bound_chunk, _TALLY)
+register_task("lower-bound", _lower_bound_chunk, _TALLY)
+register_task("sigma-bounds", _sigma_bounds_chunk, {**_TALLY, "tau4_failures": []})
 register_task("pairing", _pairing_chunk, _TALLY)
-register_task("conjecture1", _conjecture1_chunk, _TALLY)
-register_task("conjecture3", _conjecture3_chunk, {"seen": {}})
-register_task("conjecture2", _pairing_chunk, _TALLY)  # the pairing sweep with no tau cap
+register_task("conjecture-1", _conjecture1_chunk, _TALLY)
+register_task("conjecture-2", _conjecture2_chunk, _TALLY)
+register_task("conjecture-3", _conjecture3_chunk, {"seen": {}})
 
 
 # ---------------------------------------------------------------------------
-# range scanners
+# range scanners; the chunked ones pass their keyword `flags` (workers,
+# chunk_size, checkpoint, max_chunks) on to run_scan
 
 
-def _scan_violations(check, task, limit, params, workers, chunk_size, checkpoint,
-                     max_chunks, notes=(), config_extra=None):
+def _tally(state):
+    return state["violations"], state["applicable"], []
+
+
+def _range_check(check, limit, flags, tally=_tally, notes=(), **config):
+    """Run the task registered under `check` over [1, limit] and report it;
+    `tally(state)` gives the violations, the applicable count and further notes."""
     t0 = time.perf_counter()
-    lo = 1
-    state = run_scan(task, lo, limit, params, workers=workers, chunk_size=chunk_size,
-                     checkpoint=checkpoint, max_chunks=max_chunks)
+    state = run_scan(check, 1, limit, **flags)
+    violations, applicable, more_notes = tally(state)
     # "sieve_limit" is kept so that pinned output bytes stay identical
-    config = {"check": check, "lo": lo, "hi": limit, "chunk_size": chunk_size,
-              "sieve_limit": max(limit, 2), **params, **(config_extra or {})}
-    notes = list(notes)
-    if state.get("tau4_failures"):
-        hits = state["tau4_failures"]
-        notes.append(
-            "advisory tau=4 clause '2 <= k <= n/4' fails for "
-            f"{len(hits)} n (first: {hits[:5]}); reported per clause, not as a violation"
-        )
-    return _finish(check, lo, limit, state["violations"], state["applicable"],
-                   config, notes, t0)
+    return _finish(check, 1, limit, violations, applicable, t0, [*notes, *more_notes],
+                   chunk_size=flags.get("chunk_size", CHUNK_SIZE_DEFAULT),
+                   sieve_limit=max(limit, 2), **config)
 
 
-def scan_upper_bound(limit: int, *, workers: int = 1, chunk_size: int = CHUNK_SIZE_DEFAULT,
-                     checkpoint: str | None = None, max_chunks: int | None = None) -> ScanReport:
+def scan_upper_bound(limit: int, **flags) -> ScanReport:
     """k(n) < d_2 + 1/d_2 over all non-squares in [2, limit]."""
-    return _scan_violations("upper-bound", "upper_bound", limit, {}, workers,
-                            chunk_size, checkpoint, max_chunks)
+    return _range_check("upper-bound", limit, flags)
 
 
-def scan_lower_bound(limit: int, *, workers: int = 1, chunk_size: int = CHUNK_SIZE_DEFAULT,
-                     checkpoint: str | None = None, max_chunks: int | None = None) -> ScanReport:
+def scan_lower_bound(limit: int, **flags) -> ScanReport:
     """k(n) >= d_2/(d_2^2+1) over squares in [4, limit], equality iff n = p^2."""
-    return _scan_violations("lower-bound", "lower_bound", limit, {}, workers,
-                            chunk_size, checkpoint, max_chunks)
+    return _range_check("lower-bound", limit, flags)
 
 
-def scan_sigma_bounds(limit: int, *, workers: int = 1, chunk_size: int = CHUNK_SIZE_DEFAULT,
-                      checkpoint: str | None = None, max_chunks: int | None = None) -> ScanReport:
+def _sigma_bounds_tally(state):
+    hits = state["tau4_failures"]
+    notes = [
+        "advisory tau=4 clause '2 <= k <= n/4' fails for "
+        f"{len(hits)} n (first: {hits[:5]}); reported per clause, not as a violation"
+    ] if hits else []
+    return state["violations"], state["applicable"], notes
+
+
+def scan_sigma_bounds(limit: int, **flags) -> ScanReport:
     """Bound chain over all non-squares in [2, limit]; tau=4 bullet is advisory."""
-    return _scan_violations("sigma-bounds", "sigma_bounds", limit, {}, workers,
-                            chunk_size, checkpoint, max_chunks)
+    return _range_check("sigma-bounds", limit, flags, tally=_sigma_bounds_tally)
 
 
-def scan_pairing(limit: int, *, workers: int = 1, chunk_size: int = CHUNK_SIZE_DEFAULT,
-                 checkpoint: str | None = None, max_chunks: int | None = None) -> ScanReport:
+def scan_pairing(limit: int, **flags) -> ScanReport:
     """Rank pairing, which implies the power identity, for prime-k, tau <= 8 numbers."""
-    return _scan_violations("pairing", "pairing", limit, {"tau_cap": 8}, workers,
-                            chunk_size, checkpoint, max_chunks,
-                            config_extra={"power_identity": True})
+    return _range_check("pairing", limit, flags, tau_cap=PAIRING_TAU_CAP, power_identity=True)
 
 
-def scan_conjecture1(limit: int, *, workers: int = 1, chunk_size: int = CHUNK_SIZE_DEFAULT,
-                     checkpoint: str | None = None, max_chunks: int | None = None) -> ScanReport:
+def scan_conjecture1(limit: int, **flags) -> ScanReport:
     """Integral k implies k = d_2 (plus the even/odd specializations)."""
-    return _scan_violations(
-        "conjecture-1", "conjecture1", limit, {}, workers, chunk_size, checkpoint,
-        max_chunks, notes=["n = 1 (k = 0) is excluded: d_2(1) does not exist"],
-    )
+    return _range_check("conjecture-1", limit, flags,
+                        notes=["n = 1 (k = 0) is excluded: d_2(1) does not exist"])
 
 
-def scan_conjecture2(limit: int, *, workers: int = 1, chunk_size: int = CHUNK_SIZE_DEFAULT,
-                     checkpoint: str | None = None, max_chunks: int | None = None) -> ScanReport:
+def scan_conjecture2(limit: int, **flags) -> ScanReport:
     """Rank pairing for every prime-k number up to limit, no tau bound."""
-    return _scan_violations("conjecture-2", "conjecture2", limit, {"tau_cap": None}, workers,
-                            chunk_size, checkpoint, max_chunks,
-                            config_extra={"power_identity": False})
+    return _range_check("conjecture-2", limit, flags, tau_cap=None, power_identity=False)
 
 
-def scan_conjecture3(limit: int, *, workers: int = 1, chunk_size: int = CHUNK_SIZE_DEFAULT,
-                     checkpoint: str | None = None, max_chunks: int | None = None) -> ScanReport:
+def _conjecture3_tally(state):
+    """One violation per k class held by more than one n; applicable counts the classes."""
+    violations = [{
+        "n": members[1],
+        "expected": f"k = {key} held only by {members[0]}",
+        "actual": f"shared by {members}",
+    } for key, members in state["seen"].items() if len(members) > 1]
+    return violations, len(state["seen"]), []
+
+
+def scan_conjecture3(limit: int, **flags) -> ScanReport:
     """Every k < 1 class holds at most one n (domain: perfect squares and 1)."""
-    t0 = time.perf_counter()
-    state = run_scan("conjecture3", 1, limit, workers=workers, chunk_size=chunk_size,
-                     checkpoint=checkpoint, max_chunks=max_chunks)
-    violations = []
-    for key, members in state["seen"].items():
-        if len(members) > 1:
-            violations.append({
-                "n": members[1],
-                "expected": f"k = {key} held only by {members[0]}",
-                "actual": f"shared by {members}",
-            })
-    # "sieve_limit" is kept so that pinned output bytes stay identical
-    config = {"check": "conjecture-3", "lo": 1, "hi": limit, "chunk_size": chunk_size,
-              "sieve_limit": max(limit, 2)}
-    notes = ["domain restricted to perfect squares and n = 1, the only integers with k < 1"]
-    return _finish("conjecture-3", 1, limit, violations, len(state["seen"]),
-                   config, notes, t0)
+    return _range_check(
+        "conjecture-3", limit, flags, tally=_conjecture3_tally,
+        notes=["domain restricted to perfect squares and n = 1, the only integers with k < 1"],
+    )
 
 
 def scan_multiplier(n_max: int = 1000, samples: int = 500, exponents=(1, 2, 3),
@@ -578,55 +562,53 @@ def scan_multiplier(n_max: int = 1000, samples: int = 500, exponents=(1, 2, 3),
                 "expected": f"k({n}*{p}^{a}) = k({n}) = {k}",
                 "actual": str(k2),
             })
-    config = {"check": "multiplier", "lo": 2, "hi": n_max, "samples": samples,
-              "exponents": list(exponents), "seed": seed}
-    return _finish("multiplier", 2, n_max, violations, samples, config, [], t0)
+    return _finish("multiplier", 2, n_max, violations, samples, t0,
+                   samples=samples, exponents=list(exponents), seed=seed)
+
+
+def _even_prime_powers(limit):
+    """The (p, a) with p prime, a >= 2 even and p^a <= limit, by p and then a."""
+    if limit < 4:
+        raise ValueError(f"need limit >= 4, got {limit}")
+    powers = []
+    for p in primes_upto(isqrt(limit)):
+        a = 2
+        while p**a <= limit:
+            powers.append((p, a))
+            a += 2
+    return powers
 
 
 def scan_prime_power_distinct(limit: int) -> ScanReport:
     """k(p^a) pairwise distinct over even a >= 2 with p^a <= limit."""
-    if limit < 4:
-        raise ValueError(f"need limit >= 4, got {limit}")
+    powers = _even_prime_powers(limit)
     t0 = time.perf_counter()
     seen: dict[Fraction, int] = {}
     violations = []
-    applicable = 0
-    for p in primes_upto(isqrt(limit)):
-        a = 2
-        while p**a <= limit:
-            n = p**a
-            applicable += 1
-            k = k_ratio(n)
-            if k in seen:
-                violations.append({
-                    "n": n,
-                    "expected": f"k distinct from k({seen[k]})",
-                    "actual": f"k={k} shared",
-                })
-            else:
-                seen[k] = n
-            a += 2
-    config = {"check": "prime-power-distinct", "lo": 4, "hi": limit}
-    return _finish("prime-power-distinct", 4, limit, violations, applicable, config, [], t0)
+    for p, a in powers:
+        n = p**a
+        k = k_ratio(n)
+        if k in seen:
+            violations.append({
+                "n": n,
+                "expected": f"k distinct from k({seen[k]})",
+                "actual": f"k={k} shared",
+            })
+        else:
+            seen[k] = n
+    return _finish("prime-power-distinct", 4, limit, violations, len(powers), t0)
 
 
 def scan_unit_fraction(limit: int) -> ScanReport:
     """Unit-fraction gap for every p^l <= limit with even l."""
-    if limit < 4:
-        raise ValueError(f"need limit >= 4, got {limit}")
+    powers = _even_prime_powers(limit)
     t0 = time.perf_counter()
     violations = []
-    applicable = 0
-    for p in primes_upto(isqrt(limit)):
-        l = 2
-        while p**l <= limit:
-            applicable += 1
-            if not check_unit_fraction_gap(p, l):
-                violations.append({
-                    "n": p**l,
-                    "expected": f"k({p}^{l}) in [p/(p^2+1), 1/p) and not a unit fraction",
-                    "actual": str(k_ratio(p**l)),
-                })
-            l += 2
-    config = {"check": "unit-fraction", "lo": 4, "hi": limit}
-    return _finish("unit-fraction", 4, limit, violations, applicable, config, [], t0)
+    for p, l in powers:
+        if not check_unit_fraction_gap(p, l):
+            violations.append({
+                "n": p**l,
+                "expected": f"k({p}^{l}) in [p/(p^2+1), 1/p) and not a unit fraction",
+                "actual": str(k_ratio(p**l)),
+            })
+    return _finish("unit-fraction", 4, limit, violations, len(powers), t0)

@@ -46,7 +46,7 @@ from divrank import (
     scan_unit_fraction,
     scan_upper_bound,
 )
-from divrank.theorems import BOUNDED_EVIDENCE, PAIRING_ALPHA_GRID
+from divrank.theorems import BOUNDED_EVIDENCE
 import conftest
 from conftest import (
     ORACLE_LIMIT,
@@ -220,6 +220,10 @@ def _integral_k(divs):
 
 def _breaks_rank_pairing(divs, p):
     return any(divs[i + 1] != p * divs[i] for i in range(0, len(divs), 2))
+
+
+# exponents of the power identity sigma_e,a = p^a sigma_o,a that the oracle tests
+PAIRING_ALPHA_GRID = (-2, -1, 0, 1, 2, 3)
 
 
 def _breaks_power_identity(divs, p):

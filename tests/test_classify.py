@@ -208,7 +208,7 @@ class TestCheckpoint:
         with pytest.raises(ScanInterrupted):
             scan_range(1, 2000, chunk_size=256, checkpoint=str(path), max_chunks=1)
         doc = json.loads(path.read_text())
-        assert doc["version"] == 1
+        assert doc["version"] == 2
         assert doc["task"] == "gk"
         assert doc["last_n"] == 256
         assert "config_hash" in doc and "state" in doc

@@ -254,9 +254,12 @@ class TestOutAndDeterminism:
         (TABLE, lambda doc: doc["state"]["classes"].update({"2": 7})),
         (UPPER_BOUND, lambda doc: doc["state"].update(violations=5)),
         (UPPER_BOUND, lambda doc: doc["state"].update(applicable=True)),
+        # well-shaped edits that change the result: only the state digest catches them
+        (UPPER_BOUND, lambda doc: doc["state"].update(violations=[5])),
+        (TABLE, lambda doc: next(iter(doc["state"]["classes"].values())).append("x")),
     ], ids=["last_n-string", "last_n-null", "state-list", "state-missing-field",
             "state-extra-field", "state-class-int", "state-violations-int",
-            "state-applicable-bool"])
+            "state-applicable-bool", "state-forged-violation", "state-class-extra-member"])
     def test_malformed_checkpoint_field_exits_2(self, capsys, tmp_path, command, mutate):
         ck = tmp_path / "t.ck"
         argv = [*command, "--max", "2000", "--chunk-size", "512", "--checkpoint", str(ck)]
@@ -311,6 +314,19 @@ class TestConfigPrecedence:
             cli.main(["irn", "--config", str(cfg)])
         assert exc.value.code == 2
 
+    def test_unknown_config_key_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "divrank.cfg"
+        # one file serves every subcommand: a key of another subcommand is fine
+        cfg.write_text("samples=7\nmax=50\nformat=json\n")
+        code, out, _ = run_cli(capsys, "table", "--config", str(cfg))
+        assert code == 0 and json.loads(out)["hi"] == 50
+        for typo in ("chunk-sise=7", "formt=json"):
+            cfg.write_text(f"max=50\n{typo}\n")
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["table", "--config", str(cfg)])
+            assert exc.value.code == 2
+            assert typo.split("=")[0].replace("-", "_") in capsys.readouterr().err
+
     def test_k_filter_from_config(self, capsys, tmp_path):
         cfg = tmp_path / "divrank.cfg"
         cfg.write_text("k=2/5,3/10\nmax=100\nformat=csv\n")
@@ -318,6 +334,59 @@ class TestConfigPrecedence:
         lines = out.splitlines()
         assert lines[1].startswith("2/5,1,4")
         assert lines[2].startswith("3/10,1,9")
+
+
+# setting -> (subcommand, its flag form, raw text, resolved value, a bad raw text or None)
+SETTING_CASES = {
+    "max": (("irn",), ["--max", "32"], "32", 32, "0"),
+    "format": (("irn",), ["--format", "json"], "json", "json", "yaml"),
+    "out": (("irn",), ["--out", "o.txt"], "o.txt", "o.txt", None),
+    "workers": (("table",), ["--workers", "2"], "2", 2, "none"),
+    "chunk_size": (("table",), ["--chunk-size", "7"], "7", 7, "-7"),
+    "checkpoint": (("table",), ["--checkpoint", "t.ck"], "t.ck", "t.ck", None),
+    "max_chunks": (("table",), ["--max-chunks", "3"], "3", 3, "0"),
+    "timing": (("scan", "1"), ["--timing"], "yes", True, "maybe"),
+    "seed": (("verify", "multiplier"), ["--seed", "5"], "5", 5, "five"),
+    "samples": (("verify", "multiplier"), ["--samples", "40"], "40", 40, "0"),
+    "k": (("table",), ["--k", "2/5", "--k", "3"], "2/5,3", ["2/5", "3"], "x/y"),
+}
+
+
+def _resolved(argv):
+    parser = cli.build_parser()
+    return cli.resolve_settings(parser, parser.parse_args(argv))
+
+
+def _usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        _resolved(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+class TestEverySetting:
+    def test_every_setting_has_a_case(self):
+        assert set(SETTING_CASES) == set(cli.SETTINGS)
+
+    @pytest.mark.parametrize("name", list(SETTING_CASES))
+    def test_resolves_from_env_and_config_file(self, tmp_path, monkeypatch, capsys, name):
+        command, flag_argv, raw, value, bad = SETTING_CASES[name]
+        env = "DIVRANK_" + name.upper()
+        cfg = tmp_path / "divrank.cfg"
+        from_file = [*command, "--config", str(cfg)]
+        assert getattr(_resolved([*command]), name) == cli.SETTINGS[name][1]
+        assert getattr(_resolved([*command, *flag_argv]), name) == value
+        cfg.write_text(f"{name}={raw}\n")
+        assert getattr(_resolved(from_file), name) == value
+        monkeypatch.setenv(env, raw)
+        assert getattr(_resolved([*command]), name) == value
+        if bad is None:  # a path: any text is a value
+            return
+        monkeypatch.setenv(env, bad)
+        assert env in _usage_error(capsys, [*command])
+        monkeypatch.delenv(env)
+        cfg.write_text(f"{name}={bad}\n")
+        assert f"config file key {name!r}" in _usage_error(capsys, from_file)
 
 
 # sha256 of stdout, with the exit code, as the per-n divisor-list scanners wrote
