@@ -1,8 +1,8 @@
 """Classify ranges of integers into G_k classes keyed by k(n) = sigma_e/sigma_o.
 
-A GkTable maps each canonical rational k to the ascending list of its
-members in a range; every n belongs to exactly one class. Index ratio
-numbers are the n whose k(n) is a nonnegative integer.
+A GkTable maps each k, keyed as printed ("2", "9/5") by `_class_key` alone,
+to the ascending list of its members in a range; every n belongs to exactly
+one class. Index ratio numbers are the n whose k(n) is a nonnegative integer.
 """
 
 from __future__ import annotations
@@ -17,17 +17,16 @@ from .scanner import CHUNK_SIZE_DEFAULT, register_task, run_scan
 
 @dataclass
 class GkTable:
-    """Partition of [lo, hi] into G_k classes; member lists ascend."""
+    """Partition of [lo, hi] into G_k classes keyed by the printed k; member lists ascend."""
 
     lo: int
     hi: int
-    classes: dict[Fraction, list[int]] = field(default_factory=dict)
+    classes: dict[str, list[int]] = field(default_factory=dict)
 
-    def members(self, k: Fraction) -> list[int]:
-        return self.classes.get(k, [])
-
-    def sorted_by_smallest_member(self) -> list[tuple[Fraction, list[int]]]:
-        return sorted(self.classes.items(), key=lambda kv: kv[1][0])
+    def members(self, k: Fraction | int | str) -> list[int]:
+        """The class of k; a string is parsed first, so "18/10" finds "9/5"."""
+        q = parse_rational(k) if isinstance(k, str) else Fraction(k)
+        return self.classes.get(_class_key(q.numerator, q.denominator), [])
 
 
 def is_index_ratio(n: int) -> bool:
@@ -37,9 +36,10 @@ def is_index_ratio(n: int) -> bool:
 
 
 def _class_key(se, so):
-    """k = se/so in lowest terms as "num/den", the JSON-safe key of a G_k class."""
+    """k = se/so as printed, "num" or "num/den" in lowest terms: the key of a G_k
+    class, which chunks, checkpoints and output carry unchanged; no other code makes one."""
     g = gcd(se, so)
-    return f"{se // g}/{so // g}"
+    return f"{se // g}/{so // g}" if so != g else str(se // g)
 
 
 def _gk_chunk(lo, hi):
@@ -64,23 +64,17 @@ def scan_range(lo: int, hi: int, *, workers: int = 1, chunk_size: int = CHUNK_SI
 
     Deterministic for any worker count; `checkpoint` makes the scan
     resumable and `max_chunks` bounds this call's chunk budget (raising
-    ScanInterrupted once state is saved).
+    ScanInterrupted once state is saved). Chunks merge in order and each
+    key enters at its smallest member, so the classes come in that order.
     """
     state = run_scan("gk", lo, hi, workers=workers, chunk_size=chunk_size,
                      checkpoint=checkpoint, max_chunks=max_chunks)
-    classes = {}
-    for key, members in state["classes"].items():
-        num, den = key.split("/")
-        classes[Fraction(int(num), int(den))] = members
-    return GkTable(lo, hi, classes)
+    return GkTable(lo, hi, state["classes"])
 
 
-def members_of_k(k: Fraction | str, limit: int, workers: int = 1) -> list[int]:
+def members_of_k(k: Fraction | int | str, limit: int, workers: int = 1) -> list[int]:
     """All n <= limit with k(n) = k, ascending."""
-    if isinstance(k, str):
-        k = parse_rational(k)
-    table = scan_range(1, limit, workers=workers)
-    return table.members(k)
+    return scan_range(1, limit, workers=workers).members(k)
 
 
 def enumerate_index_ratio(limit: int, workers: int = 1) -> list[int]:
@@ -105,9 +99,7 @@ def merge_tables(a: GkTable, b: GkTable) -> GkTable:
         raise RangeOverlapError(
             f"ranges [{a.lo}, {a.hi}] and [{b.lo}, {b.hi}] are not adjacent"
         )
-    classes: dict[Fraction, list[int]] = {}
-    for key, members in first.classes.items():
-        classes[key] = list(members)
+    classes = {key: list(members) for key, members in first.classes.items()}
     for key, members in second.classes.items():
         classes.setdefault(key, []).extend(members)
     return GkTable(first.lo, second.hi, classes)

@@ -21,7 +21,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .classify import enumerate_index_ratio, scan_range
+from .classify import _class_key, enumerate_index_ratio, scan_range
 from .core import (
     CheckpointError,
     ScanInterrupted,
@@ -29,7 +29,7 @@ from .core import (
     parse_rational,
     rank_sums,
 )
-from .scanner import CHUNK_SIZE_DEFAULT
+from .scanner import _TASKS, CHUNK_SIZE_DEFAULT
 from .sigma import profile
 from .theorems import (
     ScanReport,
@@ -47,18 +47,18 @@ from .theorems import (
 
 ENV_PREFIX = "DIVRANK_"
 
-# check -> (scanner, whether it takes the chunked-scan flags); `scan N` runs conjecture-N
+# check -> scanner; `scan N` runs conjecture-N. Chunked checks register a scanner task.
 CHECKS = {
-    "upper-bound": (scan_upper_bound, True),
-    "lower-bound": (scan_lower_bound, True),
-    "sigma-bounds": (scan_sigma_bounds, True),
-    "multiplier": (scan_multiplier, False),
-    "pairing": (scan_pairing, True),
-    "prime-power-distinct": (scan_prime_power_distinct, False),
-    "unit-fraction": (scan_unit_fraction, False),
-    "conjecture-1": (scan_conjecture1, True),
-    "conjecture-2": (scan_conjecture2, True),
-    "conjecture-3": (scan_conjecture3, True),
+    "upper-bound": scan_upper_bound,
+    "lower-bound": scan_lower_bound,
+    "sigma-bounds": scan_sigma_bounds,
+    "multiplier": scan_multiplier,
+    "pairing": scan_pairing,
+    "prime-power-distinct": scan_prime_power_distinct,
+    "unit-fraction": scan_unit_fraction,
+    "conjecture-1": scan_conjecture1,
+    "conjecture-2": scan_conjecture2,
+    "conjecture-3": scan_conjecture3,
 }
 VERIFY_CHECKS = tuple(name for name in CHECKS if not name.startswith("conjecture-"))
 
@@ -75,9 +75,10 @@ def positive_int(text):
 
 def rational_arg(text):
     try:
-        return format_rational(parse_rational(text))
+        q = parse_rational(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+    return _class_key(q.numerator, q.denominator)  # the G_k class a --k value names
 
 
 def _parse_bool(text):
@@ -204,17 +205,8 @@ def render_profile(prof, fmt):
     return "\n".join(lines) + "\n"
 
 
-def _class_rows(table, filters):
-    if filters:
-        keys = [parse_rational(f) for f in filters]
-        pairs = [(k, table.members(k)) for k in keys]
-    else:
-        pairs = table.sorted_by_smallest_member()
-    return [(format_rational(k), members) for k, members in pairs]
-
-
 def render_table(table, filters, fmt):
-    rows = _class_rows(table, filters)
+    rows = [(k, table.classes.get(k, [])) for k in filters] if filters else table.classes.items()
     if fmt == "json":
         return _json_text({
             "kind": "table",
@@ -336,6 +328,19 @@ def _chunk_flags(args):
                 checkpoint=args.checkpoint, max_chunks=args.max_chunks)
 
 
+def _refuse_chunk_flags(parser, args):
+    """Exit 2 on a chunk flag given to a check that is no chunked scan. Run before
+    resolve_settings, so that a set flag is the command line's: DIVRANK_* and
+    config-file values stay ignored there, as one file serves every subcommand."""
+    check = getattr(args, "check", None)
+    if check is None or check in _TASKS:
+        return
+    for name, value in _chunk_flags(args).items():
+        if value is not None:
+            parser.error(f"--{name.replace('_', '-')} does not apply to verify {check}, "
+                         "which is not a chunked scan")
+
+
 def cmd_table(args):
     table = scan_range(1, args.max, **_chunk_flags(args))
     emit(render_table(table, args.k, args.format), args.out)
@@ -343,12 +348,12 @@ def cmd_table(args):
 
 
 def _run_check(check, args):
-    scan, chunked = CHECKS[check]
-    if check == "multiplier":  # without --max it keeps scan_multiplier's own n_max
+    scan = CHECKS[check]
+    if check in _TASKS:
+        report = scan(args.max, **_chunk_flags(args))
+    elif check == "multiplier":  # without --max it keeps scan_multiplier's own n_max
         n_max = {} if "max" in args.defaulted else {"n_max": args.max}
         report = scan(**n_max, samples=args.samples, seed=args.seed)
-    elif chunked:
-        report = scan(args.max, **_chunk_flags(args))
     else:
         report = scan(args.max)
     emit(render_report(report, args.format, args.timing), args.out)
@@ -439,6 +444,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    _refuse_chunk_flags(parser, args)
     resolve_settings(parser, args)
     try:
         return args.func(args)

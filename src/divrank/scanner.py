@@ -18,7 +18,7 @@ import os
 from .core import KERNEL_BOUND, CheckpointError, ScanInterrupted
 
 CHUNK_SIZE_DEFAULT = 1 << 16
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3  # 3: G_k class keys are the printed k ("2", not "2/1")
 _STATE_KEY = b',"state":'  # a checkpoint's last key: the state's bytes follow it
 
 # name -> (chunk_fn(lo, hi) -> fragment,

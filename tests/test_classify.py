@@ -10,6 +10,7 @@ from divrank import (
     RangeOverlapError,
     ScanInterrupted,
     enumerate_index_ratio,
+    format_rational,
     is_index_ratio,
     k_ratio,
     members_of_k,
@@ -39,19 +40,19 @@ class TestScanRange:
     def test_first_ten(self):
         table = scan_range(1, 10)
         expected = {
-            Fraction(0): [1],
-            Fraction(2): [2, 6, 8, 10],
-            Fraction(3): [3],
-            Fraction(2, 5): [4],
-            Fraction(5): [5],
-            Fraction(7): [7],
-            Fraction(3, 10): [9],
+            "0": [1],
+            "2": [2, 6, 8, 10],
+            "3": [3],
+            "2/5": [4],
+            "5": [5],
+            "7": [7],
+            "3/10": [9],
         }
         assert table.classes == expected
 
     def test_single(self):
         table = scan_range(1, 1)
-        assert table.classes == {Fraction(0): [1]}
+        assert table.classes == {"0": [1]}
 
     def test_partition_property(self):
         table = scan_range(1, 5000)
@@ -71,7 +72,7 @@ class TestScanRange:
         table = scan_range(1, 10_000)
         for k, members in table.classes.items():
             for n in members:
-                assert k_ratio(n) == k
+                assert format_rational(k_ratio(n)) == k
 
     def test_worker_count_invariance(self):
         base = scan_range(1, 20_000, chunk_size=4096)
@@ -84,6 +85,50 @@ class TestScanRange:
         a = scan_range(1, 3000, chunk_size=100)
         b = scan_range(1, 3000, chunk_size=1 << 16)
         assert a.classes == b.classes
+
+
+def _by_smallest_member(table):
+    firsts = [members[0] for members in table.classes.values()]
+    return all(a < b for a, b in zip(firsts, firsts[1:]))
+
+
+class TestClassOrder:
+    """The CLI lists classes in the order scan_range builds them: by smallest member."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk_size", [1, 7, 256])
+    def test_scan_range(self, workers, chunk_size):
+        for lo in (1, 301):
+            table = scan_range(lo, 900, workers=workers, chunk_size=chunk_size)
+            assert _by_smallest_member(table)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_after_pause_and_resume(self, tmp_path, workers):
+        path = str(tmp_path / "scan.ck")
+        with pytest.raises(ScanInterrupted):
+            scan_range(1, 2000, workers=workers, chunk_size=256, checkpoint=path, max_chunks=3)
+        assert _by_smallest_member(scan_range(1, 2000, workers=workers, chunk_size=256,
+                                              checkpoint=path))
+
+    def test_merge_tables(self):
+        a, b = scan_range(1, 500), scan_range(501, 1000)
+        assert _by_smallest_member(merge_tables(a, b))
+        assert _by_smallest_member(merge_tables(b, a))
+        assert _by_smallest_member(merge_tables(GkTable(501, 500, {}), a))
+
+
+class TestMembers:
+    def test_fraction_int_and_string_agree(self):
+        table = scan_range(1, 1000)
+        assert table.members(Fraction(9, 5)) == table.members("9/5") == \
+            table.members("18/10") == table.classes["9/5"]
+        assert table.members(2) == table.members("2") == table.members(Fraction(2)) == \
+            table.classes["2"]
+        assert table.members(Fraction(7109, 15862)) == []
+
+    def test_unparseable_string_raises(self):
+        with pytest.raises(ValueError):
+            scan_range(1, 10).members("x")
 
 
 class TestMergeTables:
@@ -153,7 +198,7 @@ class TestEnumerateIndexRatio:
     def test_matches_k_denominators(self):
         table = scan_range(1, 10_000)
         expected = sorted(
-            n for k, members in table.classes.items() if k.denominator == 1
+            n for k, members in table.classes.items() if "/" not in k
             for n in members
         )
         assert enumerate_index_ratio(10_000) == expected
@@ -208,7 +253,7 @@ class TestCheckpoint:
         with pytest.raises(ScanInterrupted):
             scan_range(1, 2000, chunk_size=256, checkpoint=str(path), max_chunks=1)
         doc = json.loads(path.read_text())
-        assert doc["version"] == 2
+        assert doc["version"] == 3
         assert doc["task"] == "gk"
         assert doc["last_n"] == 256
         assert "config_hash" in doc and "state" in doc

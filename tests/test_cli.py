@@ -5,7 +5,7 @@ from importlib import resources
 import pytest
 from jsonschema import Draft202012Validator
 
-from divrank import cli
+from divrank import cli, scanner
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +270,66 @@ class TestOutAndDeterminism:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert "malformed" in err
+
+
+    def test_version_2_checkpoint_exits_2(self, capsys, tmp_path, monkeypatch):
+        # version 2 keyed an integer class "2/1"; resuming it would mix two key forms
+        ck = tmp_path / "t.ck"
+        argv = [*TABLE, "--max", "2000", "--chunk-size", "512", "--checkpoint", str(ck)]
+        run_cli(capsys, *argv, "--max-chunks", "1")
+        doc = json.loads(ck.read_text())
+        classes = {k if "/" in k else f"{k}/1": v for k, v in doc["state"]["classes"].items()}
+        with monkeypatch.context() as m:
+            m.setattr(scanner, "CHECKPOINT_VERSION", 2)
+            scanner.save_checkpoint(ck, "gk", doc["config_hash"], doc["last_n"],
+                                    {"classes": classes})
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "unsupported checkpoint version" in err
+
+
+UNCHUNKED = ["multiplier", "prime-power-distinct", "unit-fraction"]
+CHUNK_FLAGS = {"--workers": "2", "--chunk-size": "7", "--checkpoint": "u.ck", "--max-chunks": "1"}
+
+
+class TestChunkFlagsOnUnchunkedChecks:
+    @pytest.mark.parametrize("flag", list(CHUNK_FLAGS))
+    @pytest.mark.parametrize("check", UNCHUNKED)
+    def test_command_line_flag_exits_2(self, capsys, tmp_path, monkeypatch, check, flag):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", check, "--max", "1000", flag, CHUNK_FLAGS[flag]])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and check in err
+        assert not (tmp_path / "u.ck").exists()
+
+    @pytest.mark.parametrize("check", UNCHUNKED)
+    def test_environment_and_config_file_stay_ignored(self, capsys, tmp_path, monkeypatch,
+                                                      check):
+        # one config file serves every subcommand, so these values cannot be refused
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("DIVRANK_WORKERS", "2")
+        monkeypatch.setenv("DIVRANK_MAX_CHUNKS", "1")
+        (tmp_path / "divrank.cfg").write_text("checkpoint=u.ck\nchunk_size=7\n")
+        code, out, _ = run_cli(capsys, "verify", check, "--max", "1000",
+                               "--config", "divrank.cfg")
+        assert code == 0 and "status = verified" in out
+        assert not (tmp_path / "u.ck").exists()
+
+    def test_chunked_check_still_takes_them(self, capsys, tmp_path):
+        ck = tmp_path / "u.ck"
+        argv = ["verify", "upper-bound", "--max", "1000", "--workers", "2",
+                "--chunk-size", "256", "--checkpoint", str(ck)]
+        code, out, err = run_cli(capsys, *argv, "--max-chunks", "1")
+        assert (code, out) == (0, "") and "scan paused at n=256" in err and ck.exists()
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0 and not ck.exists()
+        assert out == run_cli(capsys, "verify", "upper-bound", "--max", "1000",
+                              "--chunk-size", "256", "--format", "json")[1]
+        code, _, err = run_cli(capsys, "verify", "upper-bound", "--max", "1000",
+                               "--max-chunks", "1")
+        assert code == 2 and "max_chunks requires a checkpoint" in err
 
 
 class TestConfigPrecedence:

@@ -501,10 +501,12 @@ class TestWithoutSpfTable:
             "sigma-bounds": command("verify", "sigma-bounds", "--format", "json", *flags),
             "conjecture-1": command("scan", "1", "--format", "json", *flags),
             "conjecture-2": command("scan", "2", "--format", "json", *flags),
-            "multiplier": command("verify", "multiplier", "--format", "json", *flags),
+            # not chunked scans: they refuse the chunk flags
+            "multiplier": command("verify", "multiplier", "--format", "json", "--max", "10000"),
             "prime-power-distinct": command("verify", "prime-power-distinct",
-                                            "--format", "json", *flags),
-            "unit-fraction": command("verify", "unit-fraction", "--format", "json", *flags),
+                                            "--format", "json", "--max", "10000"),
+            "unit-fraction": command("verify", "unit-fraction", "--format", "json",
+                                     "--max", "10000"),
             "profile": command("profile", "10000", "--format", "json"),
             "table --k": command("table", "--k", "2", "--k", "3", "--format", "json", *flags),
         }
