@@ -438,14 +438,15 @@ def build_parser():
                    help=f"enumeration limit (default {SETTINGS['max'][1]})")
     i.set_defaults(func=cmd_irn)
 
+    for sub in subs.choices.values():  # a usage error found after parsing names its subcommand
+        sub.set_defaults(parser=sub)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _refuse_chunk_flags(parser, args)
-    resolve_settings(parser, args)
+    args = build_parser().parse_args(argv)
+    _refuse_chunk_flags(args.parser, args)
+    resolve_settings(args.parser, args)
     try:
         return args.func(args)
     except ScanInterrupted as exc:

@@ -2,9 +2,11 @@
 
 All arithmetic uses Python's arbitrary-precision integers, so divisor sums
 can never overflow or wrap. The one exception is the block rank-sum kernel,
-which works in int64 only for n < KERNEL_BOUND = 2**31, where none of its
-values can reach 2**63. Range scans sieve what they need per block, and
-single-n calls factor by trial division. Rationals are stdlib
+`rank_blocks`, which hands out numpy arrays (int64 sums, int32 d_2) and works
+only for n < KERNEL_BOUND = 2**31, where none of its values can outgrow its
+dtype; the dense range checks test those arrays with int64 masks bounded the
+same way. Range scans sieve what they need per block, and single-n calls
+factor by trial division. Rationals are stdlib
 ``fractions.Fraction``, which is always in canonical reduced form with a
 positive denominator and renders as "num/den" (eliding "/1").
 """
@@ -152,28 +154,40 @@ def build_spf_sieve(limit: int) -> np.ndarray:
     return spf
 
 
-_BLOCK = 8192  # rows converted to Python ints at a time: bounds the kernel's int lists
+# the walk's block floor in n: dense-verify's peak RSS (35.5 MB with 8192-n
+# blocks) reads 37.0 MB at 32,768 n and 39.2 MB at 65,536, which runs no faster
+_BLOCK = 1 << 15
 
 # the block kernel's int64 arithmetic is exact only below this n, and range scans stop here
 KERNEL_BOUND = 2**31
 
 
-def rank_sums(ns):
-    """(n, tau, d_2, sigma_e, sigma_o, paired) for each n of `ns`.
+def rank_blocks(lo, hi):
+    """(n, tau, d_2, sigma_e, sigma_o, paired) as arrays over [lo, hi], block by block.
 
-    The one kernel behind every range scan: sigma_e/sigma_o sum the divisors of
-    even/odd rank, d_2 is the smallest prime factor (1 at n = 1, which has no
-    second divisor), and `paired` says d_2j = d_2 d_2j-1 for every j (never for
-    a square). A `range` goes through the block walk over small divisors, every
-    n < KERNEL_BOUND; any other iterable (the squares of the lower-bound and
+    sigma_e/sigma_o sum the divisors of even/odd rank, d_2 is the smallest prime
+    factor (1 at n = 1, which has no second divisor), and `paired` says
+    d_2j = d_2 d_2j-1 for every j (never for a square). `paired` is bool, d_2
+    int32 and the rest int64; every n must be below KERNEL_BOUND.
+    """
+    # the walk makes about 25 numpy calls per d <= isqrt(hi), so a block of
+    # 16 isqrt(hi) n or more keeps that overhead near two calls per n
+    width = max(_BLOCK, 16 * isqrt(max(hi, 0)))
+    for a in range(lo, hi + 1, width):
+        yield _block_rank_sums(a, min(a + width - 1, hi))
+
+
+def rank_sums(ns):
+    """The rank_blocks rows for each n of `ns`, as tuples of Python ints and a bool.
+
+    The kernel behind the G_k and index-ratio scans. A `range` is a view over
+    rank_blocks; any other iterable (the squares of the lower-bound and
     conjecture-3 scans) factors each n by trial division and expands its list.
     """
     if isinstance(ns, range) and ns.step == 1:
-        # the walk makes about 16 numpy calls per d <= isqrt(hi), so a block of
-        # 16 isqrt(hi) n or more keeps that overhead near one call per n
-        width = max(_BLOCK, 16 * isqrt(max(ns.stop - 1, 0)))
-        for a in range(ns.start, ns.stop, width):
-            yield from _block_rank_sums(a, min(a + width, ns.stop) - 1)
+        for block in rank_blocks(ns.start, ns.stop - 1):
+            for i in range(0, len(block[0]), _BLOCK):  # bounds the int lists of a wide block
+                yield from zip(*(column[i : i + _BLOCK].tolist() for column in block))
         return
     for n in ns:
         yield _rank_row(divisor_list_of(n))
@@ -188,7 +202,7 @@ def _rank_row(divs):
 
 
 def _block_rank_sums(a, b):
-    """rank_sums rows for [a, b] from one ascending walk over d <= isqrt(b).
+    """rank_blocks arrays for [a, b] from one ascending walk over d <= isqrt(b).
 
     d_2 is sieved per block (the segmented sieve of Bays & Hudson, BIT 17,
     1977): the primes p <= isqrt(b), largest first, overwrite their multiples
@@ -196,26 +210,30 @@ def _block_rank_sums(a, b):
     itself when it is 1 or prime.
 
     Each d updates the n it divides with d^2 <= n, so every n sees its small
-    divisors in rank order c = 1, 2, ... The large divisor n/d_c has rank
-    tau + 1 - c, so once tau = 2c - [n square] is known, the signed sums
-    S1 = sum (-1)^(c+1) d and S2 = sum (-1)^(c+1) n/d give
-    sigma_o - sigma_e = S1 - S2 (tau even) or S1 + S2 (tau odd). Pairing only
-    needs the small half: n/d maps pair (2j-1, 2j) onto (tau+1-2j, tau+2-2j)
-    with the same ratio, and the middle pair of tau = 2 mod 4 is n = d_2 d_c^2.
+    divisors d_c in rank order c = 1, 2, ..., and a bool tracks the parity of
+    c. The walk sums d_c and n/d_c, over all c and over odd c. The large
+    divisor n/d_c has rank tau + 1 - c: of the other parity than c when tau is
+    even, of the same when n is a square, whose root is then counted twice.
+    Pairing only needs the small half: n/d maps pair (2j-1, 2j) onto
+    (tau+1-2j, tau+2-2j) with the same ratio, and the middle pair of
+    tau = 2 mod 4 is n = d_2 d_c^2.
     """
     if b >= KERNEL_BOUND:
         raise ValueError(f"block kernel covers n < {KERNEL_BOUND}, got {b}")
-    # int64 is exact below 2**31: sigma(n) < 2**37 and d_2 d_c^2 <= n^2 < 2**62
+    # each dtype holds its values for n < 2**31: d_2 <= n and d <= isqrt(n) < 2**16
+    # in int32; tau <= 1600, so count <= 800 in int16; the sums, all below
+    # sigma(n) < 2**34, in int64
     w = b - a + 1
-    d2 = np.arange(a, b + 1, dtype=np.int64)
+    d2 = np.arange(a, b + 1, dtype=np.int32)
     for p in reversed(primes_upto(isqrt(b))):
         d2[max(p * p, -(-a // p) * p) - a :: p] = p
-    count = np.zeros(w, dtype=np.int64)
-    sign = np.ones(w, dtype=np.int64)
-    s1 = np.zeros(w, dtype=np.int64)
-    s2 = np.zeros(w, dtype=np.int64)
-    total = np.zeros(w, dtype=np.int64)
-    last = np.ones(w, dtype=np.int64)
+    count = np.zeros(w, dtype=np.int16)
+    odd = np.ones(w, dtype=bool)  # the rank of the next small divisor is odd
+    small = np.zeros(w, dtype=np.int64)  # sum of d_c
+    small_odd = np.zeros(w, dtype=np.int64)  # sum of d_c over odd c
+    large = np.zeros(w, dtype=np.int64)  # sum of n/d_c
+    large_odd = np.zeros(w, dtype=np.int64)  # sum of n/d_c over odd c
+    last = np.ones(w, dtype=np.int32)
     paired = np.ones(w, dtype=bool)
     for d in range(1, isqrt(b) + 1):
         first = -(-max(a, d * d) // d) * d
@@ -223,33 +241,40 @@ def _block_rank_sums(a, b):
             continue
         view = slice(first - a, w, d)
         q = np.arange(first // d, b // d + 1, dtype=np.int64)
-        g = sign[view]
-        s1[view] += g * d
-        s2[view] += g * q
-        total[view] += q + d
+        o = odd[view]
+        # an even rank c needs d_c = d_2 d_(c-1), and d_2 d_(c-1) < d^2 < 2**31
+        paired[view] &= o | (d2[view] * last[view] == d)
+        u, v = small_odd[view], large_odd[view]
+        np.add(u, d, out=u, where=o)
+        np.add(v, q, out=v, where=o)
+        np.logical_not(o, out=o)  # o is a view: this flips odd[view] for the next rank
+        small[view] += d
+        large[view] += q
         count[view] += 1
-        # g = -1 marks an even rank c: d_c must be d_2 d_(c-1)
-        paired[view] &= (g > 0) | (d2[view] * last[view] == d)
         last[view] = d
-        g *= -1  # g is a view: this flips sign[view] for the next rank
     roots = np.arange(isqrt(a - 1) + 1, isqrt(b) + 1, dtype=np.int64)
     at = roots * roots - a
     square = np.zeros(w, dtype=bool)
     square[at] = True
-    # the root was also counted as its own complement; sign[at] is minus its sign
-    s2[at] += sign[at] * roots
-    total[at] -= roots
-    tau = 2 * count - square
-    diff = np.where(square, s1 + s2, s1 - s2)
-    middle = (tau % 4 == 2) & (d2 * last * last != np.arange(a, b + 1, dtype=np.int64))
-    paired &= ~square & ~middle
-    sigma_e = (total - diff) // 2
-    sigma_o = (total + diff) // 2
-    for i in range(0, w, _BLOCK):
-        rows = slice(i, i + _BLOCK)
-        yield from zip(range(a + i, min(a + i + _BLOCK, b + 1)), tau[rows].tolist(),
-                       d2[rows].tolist(), sigma_e[rows].tolist(), sigma_o[rows].tolist(),
-                       paired[rows].tolist())
+    # the large divisors of odd and of even rank: n/d_c over even and over odd c,
+    # swapped for the squares
+    large -= large_odd
+    large[at], large_odd[at] = large_odd[at], large[at]
+    sigma_o = np.add(large, small_odd, out=large)
+    small -= small_odd
+    sigma_e = np.add(large_odd, small, out=large_odd)
+    del small, small_odd  # the block's peak memory comes after this
+    # a root d_c = n/d_c was counted twice, at rank c; odd[at] says c is even
+    sigma_o[at] -= np.where(odd[at], 0, roots)
+    sigma_e[at] -= np.where(odd[at], roots, 0)
+    n = np.arange(a, b + 1, dtype=np.int64)
+    # a non-square has tau = 2 mod 4 iff its count is odd; the middle pair then
+    # holds iff n / d_c = d_2 d_c, where d_2 d_c <= n < 2**31
+    paired &= ~square & ((count % 2 == 0) | (n // last == d2 * last))
+    tau = count.astype(np.int64)
+    tau *= 2
+    tau -= square
+    return n, tau, d2, sigma_e, sigma_o, paired
 
 
 def divisors_sorted(f: Factorization) -> list[int]:

@@ -1,8 +1,8 @@
 """Machine checks for every stated bound, identity, and conjecture.
 
 Single-n checks evaluate one integer exactly, through the same integer
-predicates the range scans apply to each kernel row; scan_* functions sweep
-ranges and return ScanReports. A report that comes back "verified" is
+predicates with which the range scans re-check each kernel row their masks
+flag; scan_* functions sweep ranges and return ScanReports. A report that comes back "verified" is
 bounded evidence for the scanned range only, never a proof, and its notes
 say so in fixed wording.
 """
@@ -13,7 +13,10 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import isqrt
+
+import numpy as np
 
 from .classify import _class_key
 from .core import (
@@ -25,6 +28,7 @@ from .core import (
     is_prime,
     next_prime_above,
     primes_upto,
+    rank_blocks,
     rank_sums,
 )
 from .scanner import CHUNK_SIZE_DEFAULT, register_task, run_scan
@@ -324,19 +328,94 @@ def check_unit_fraction_gap(p: int, l: int) -> bool:
 # chunk tasks for the range scanners
 
 
+# The dense checks test every n of a kernel block with exact int64 masks: one
+# flags the rows the check counts as applicable, one the rows that may break
+# it. Only those go to the Python predicate of the single-n check, in Python
+# ints, before any becomes a violation. Each int64 bound below holds for
+# n < KERNEL_BOUND = 2**31, where tau(n) <= 1600 and sigma(n) < 2**34.
+
+
+def _flagged(lo, hi, masks):
+    """Per kernel block of [max(lo, 2), hi], with (counted, suspect) = masks(*block):
+    how many rows `counted` flags, and the rows `suspect` flags as Python ints.
+    Each block is dropped before the next one is walked."""
+    def split(block):
+        counted, suspect = masks(*block)
+        at = np.flatnonzero(suspect)
+        return int(np.count_nonzero(counted)), zip(*(column[at].tolist() for column in block))
+    return map(split, rank_blocks(max(lo, 2), hi))
+
+
+def _upper_bound_masks(n, tau, d2, se, so, paired):
+    """The non-squares, and those where _upper_bound_holds is false: se d2 < so (d2^2 + 1)
+    divided by d2 >= 1."""
+    non_square = tau % 2 == 0
+    # so d2 < 2**50: d2 < 2**16 unless n is prime, and then so = 1
+    return non_square, non_square & (se - so * d2 > (so - 1) // d2)
+
+
+def _sigma_bounds_masks(n, tau, d2, se, so, paired):
+    """The non-squares, and those where a clause of _sigma_bounds_holds is false."""
+    non_square = tau % 2 == 0
+    fails = _chain_fails(n, tau, se, so) | _tau_clause_fails(n, tau, se, so)
+    return non_square, non_square & fails
+
+
+def _chain_fails(n, tau, se, so):
+    """Where a clause of _CHAIN_CLAUSES is false. combined_lower and combined_upper
+    need no term: they are the products of sigma_e_lower with reciprocal_lower and
+    of sigma_e_upper with reciprocal_upper, whose sides are all nonnegative."""
+    # sides below 1602 * 2**31 < 2**42
+    return ((tau - 2 + n > se) | (4 * se > (tau + 2) * n)
+            | (4 * so > (tau - 2) * n + 4) | (so < tau - 1))
+
+
+def _tau_clause_fails(n, tau, se, so):
+    """Where the clause _TAU_CLAUSES[tau] of tau = 2, 4, 6 is false. Each compares k
+    with an n-sized bound, so it is tested by division."""
+    # numerators below 5 * 2**34 + 2**34 < 2**37; gap = se - so when that is positive
+    gap = np.maximum(se - so, 1)
+    return (((tau == 2) & ((se % so != 0) | (se // so != n)))  # se = n so
+            | ((tau == 4) & ((2 * so > se) | ((4 * se + so - 1) // so > n)))  # 4 se <= n so
+            | ((tau == 6) & ((se <= so)  # (n + 4) so <= (n + 1) se, as 3 so <= (n + 1) gap
+                             | ((3 * so + gap - 1) // gap > n + 1)
+                             | ((5 * se + so - 1) // so > 2 * n))))  # 5 se <= 2 n so
+
+
+def _conjecture1_masks(n, tau, d2, se, so, paired):
+    """Integer k, and integer k that breaks one of conjecture 1's three statements."""
+    k = se // so  # so >= 1
+    integer = se % so == 0
+    odd = n % 2 == 1
+    return integer, integer & ((k != d2) | (~odd & (k != 2))
+                               | (odd & (tau % 4 == 2) & (n % 3 == 0) & (k != 3)))
+
+
+def _pairing_masks(n, tau, d2, se, so, paired, tau_cap):
+    """Prime k = d_2, and the other integer k >= 2 or unpaired rows, within tau_cap.
+
+    d_2 is prime, so k = d_2 is a prime k. Any other k is a conjecture-1
+    counterexample, left to trial division in the re-check.
+    """
+    k = se // so  # so >= 1
+    integer = (se % so == 0) & (k >= 2)
+    if tau_cap is not None:
+        integer &= tau <= tau_cap
+    return integer & (k == d2), integer & ((k != d2) | ~paired)
+
+
 def _upper_bound_chunk(lo, hi):
     violations = []
     applicable = 0
-    for n, tau, d2, se, so, paired in rank_sums(range(max(lo, 2), hi + 1)):
-        if tau % 2:  # tau is odd exactly for perfect squares
-            continue
-        applicable += 1
-        if not _upper_bound_holds(d2, se, so):
-            violations.append({
-                "n": n,
-                "expected": f"k < {d2}+1/{d2}",
-                "actual": f"k={se}/{so}",
-            })
+    for count, rows in _flagged(lo, hi, _upper_bound_masks):
+        applicable += count
+        for n, tau, d2, se, so, paired in rows:
+            if not _upper_bound_holds(d2, se, so):
+                violations.append({
+                    "n": n,
+                    "expected": f"k < {d2}+1/{d2}",
+                    "actual": f"k={se}/{so}",
+                })
     return {"violations": violations, "applicable": applicable}
 
 
@@ -371,44 +450,41 @@ def _sigma_bounds_chunk(lo, hi):
     violations = []
     tau4_failures = []
     applicable = 0
-    for n, tau, d2, se, so, paired in rank_sums(range(max(lo, 2), hi + 1)):
-        if tau % 2:  # tau is odd exactly for perfect squares
-            continue
-        applicable += 1
-        if all(_sigma_bounds_holds(n, tau, se, so)):
-            continue
-        clauses = _sigma_bounds_clauses(n, tau, se, so)
-        bad = [name for name, ok in clauses.items() if not ok and name != "tau4_bullet"]
-        if bad:
-            violations.append({
-                "n": n,
-                "expected": "bound chain holds",
-                "actual": "failed clauses: " + ",".join(bad),
-            })
-        if not clauses.get("tau4_bullet", True):
-            tau4_failures.append(n)
+    for count, rows in _flagged(lo, hi, _sigma_bounds_masks):
+        applicable += count
+        for n, tau, d2, se, so, paired in rows:
+            if all(_sigma_bounds_holds(n, tau, se, so)):
+                continue
+            clauses = _sigma_bounds_clauses(n, tau, se, so)
+            bad = [name for name, ok in clauses.items() if not ok and name != "tau4_bullet"]
+            if bad:
+                violations.append({
+                    "n": n,
+                    "expected": "bound chain holds",
+                    "actual": "failed clauses: " + ",".join(bad),
+                })
+            if not clauses.get("tau4_bullet", True):
+                tau4_failures.append(n)
     return {"violations": violations, "applicable": applicable, "tau4_failures": tau4_failures}
 
 
 def _pairing_chunk(lo, hi, tau_cap=PAIRING_TAU_CAP):
     violations = []
     applicable = 0
-    for n, tau, d2, se, so, paired in rank_sums(range(max(lo, 2), hi + 1)):
-        if se % so:
-            continue
-        p = se // so
-        # d_2 is prime, so trial division runs only for conjecture-1 counterexamples
-        if p < 2 or not (p == d2 or is_prime(p)):
-            continue
-        if tau_cap is not None and tau > tau_cap:
-            continue
-        applicable += 1
-        if not (paired and p == d2):  # d_2j = p d_2j-1 for all j, j = 1 included
-            violations.append({
-                "n": n,
-                "expected": f"d_2j = {p} d_2j-1 for all j",
-                "actual": f"divisors {divisor_list_of(n)}",
-            })
+    for count, rows in _flagged(lo, hi, partial(_pairing_masks, tau_cap=tau_cap)):
+        applicable += count
+        for n, tau, d2, se, so, paired in rows:
+            p = se // so
+            if p != d2:
+                if not is_prime(p):
+                    continue
+                applicable += 1
+            if not (paired and p == d2):  # d_2j = p d_2j-1 for all j, j = 1 included
+                violations.append({
+                    "n": n,
+                    "expected": f"d_2j = {p} d_2j-1 for all j",
+                    "actual": f"divisors {divisor_list_of(n)}",
+                })
         # no power-identity grid: with the divisors paired as (d, p d), sigma_e,a =
         # p^a sigma_o,a holds term by term for every a
     return {"violations": violations, "applicable": applicable}
@@ -421,25 +497,24 @@ def _conjecture2_chunk(lo, hi):
 def _conjecture1_chunk(lo, hi):
     violations = []
     applicable = 0
-    for n, tau, d2, se, so, paired in rank_sums(range(max(lo, 2), hi + 1)):
-        if se % so:
-            continue
-        applicable += 1
-        k = se // so
-        if k != d2:
-            violations.append({
-                "n": n, "expected": f"k = d_2 = {d2}", "actual": f"k={k}",
-            })
-        if n % 2 == 0 and k != 2:
-            violations.append({
-                "n": n, "expected": "even index ratio numbers have k = 2", "actual": f"k={k}",
-            })
-        if n % 2 and tau % 4 == 2 and n % 3 == 0 and k != 3:
-            violations.append({
-                "n": n,
-                "expected": "odd n with tau = 2 mod 4 and 3 | n has k = 3",
-                "actual": f"k={k}",
-            })
+    for count, rows in _flagged(lo, hi, _conjecture1_masks):
+        applicable += count
+        for n, tau, d2, se, so, paired in rows:
+            k = se // so
+            if k != d2:
+                violations.append({
+                    "n": n, "expected": f"k = d_2 = {d2}", "actual": f"k={k}",
+                })
+            if n % 2 == 0 and k != 2:
+                violations.append({
+                    "n": n, "expected": "even index ratio numbers have k = 2", "actual": f"k={k}",
+                })
+            if n % 2 and tau % 4 == 2 and n % 3 == 0 and k != 3:
+                violations.append({
+                    "n": n,
+                    "expected": "odd n with tau = 2 mod 4 and 3 | n has k = 3",
+                    "actual": f"k={k}",
+                })
     return {"violations": violations, "applicable": applicable}
 
 

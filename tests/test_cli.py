@@ -332,6 +332,22 @@ class TestChunkFlagsOnUnchunkedChecks:
         assert code == 2 and "max_chunks requires a checkpoint" in err
 
 
+class TestUsageErrorsNameTheSubcommand:
+    @pytest.mark.parametrize("argv, env", [
+        (["verify", "unit-fraction", "--max", "1000", "--workers", "2"], {}),
+        (["table", "--max", "10"], {"DIVRANK_WORKERS": "none"}),
+    ], ids=["chunk flag", "environment value"])
+    def test_usage_is_the_subcommands(self, capsys, monkeypatch, argv, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: divrank {argv[0]} ")
+        assert f"divrank {argv[0]}: error: " in err
+
+
 class TestConfigPrecedence:
     def test_config_file_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "divrank.cfg"
@@ -490,3 +506,35 @@ class TestGoldenOutput:
     def test_stdout_digest(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv)
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[argv]
+
+
+# sha256 of stdout, with the exit code, as the 8192-n block walk and the
+# per-row Python predicates wrote it; 7919-n chunks and the chunks of two
+# workers put chunk seams inside and between kernel blocks
+SEAM_MAX = "100000"
+SEAM_DIGESTS = {
+    ("verify", "upper-bound", "--chunk-size", "7919"):
+        (0, "97b6d6b7a29266c623ec0b9576e0d56c631ed0fcffcca5b9100162603f3ebf5f"),
+    ("verify", "upper-bound", "--workers", "2"):
+        (0, "bb480dc7892079dd7cf80ef9556971a83eaefe1b8f9345e9ef3d112a74d8e8d3"),
+    ("verify", "sigma-bounds", "--chunk-size", "7919"):
+        (0, "a60c0286c35b7236060860dc0e52bbdfe9ad4cf6c20b5395e8eee2310de4fa6a"),
+    ("verify", "sigma-bounds", "--workers", "2"):
+        (0, "30738ff0702a739b8224f1263d8c81f1a96979f741cc796f12bff7623b1665a6"),
+    ("scan", "1", "--chunk-size", "7919"):
+        (1, "3a9d897f2cddf390ae6373590c6bbac22a8f5234c568f2613c349048910cb6ad"),
+    ("scan", "1", "--workers", "2"):
+        (1, "4cbd98c7a6f2c53a624162ec743242ff35099578d5e76a115b1b6529bf5a9d3e"),
+    ("scan", "2", "--chunk-size", "7919"):
+        (1, "14492a1e78bd9b8e1c959da1b37cbdd98e59037e0f90bdb1b9edd95ab1cba4b1"),
+    ("scan", "2", "--workers", "2"):
+        (1, "82abda155e6fd27f79fcd8f9d099c539ab6106db75f4347801cc1469503231e3"),
+}
+
+
+class TestSeamBytes:
+    @pytest.mark.parametrize("argv", list(SEAM_DIGESTS), ids=" ".join)
+    def test_stdout_digest(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv[:2], "--max", SEAM_MAX, "--format", "json",
+                               *argv[2:])
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == SEAM_DIGESTS[argv]

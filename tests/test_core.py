@@ -138,10 +138,24 @@ class TestRankSums:
 
     @pytest.mark.parametrize("as_input", [lambda ns: ns, iter], ids=["block", "per-n"])
     def test_every_n_in_one_call(self, oracle_div_lists, as_input):
-        # one range of 10^4 crosses the boundary between the walk's 8192-n blocks
-        assert ORACLE_LIMIT > core._BLOCK
+        # one range of 10^4 fits one walk block; test_window_of_three_blocks crosses two seams
+        assert ORACLE_LIMIT <= core._BLOCK
         ns = range(1, ORACLE_LIMIT + 1)
         assert _kernel(as_input(ns)) == _oracle_rank_sums(ns, oracle_div_lists)
+
+    def test_window_of_three_blocks_matches_trial_division(self):
+        # starts off the block grid, so the range is walked as blocks of _BLOCK n
+        # from its own first n, and the last block holds one n
+        lo = 3 * core._BLOCK // 2 + 1
+        ns = range(lo, lo + 2 * core._BLOCK + 1)
+        assert 16 * isqrt(ns[-1]) < core._BLOCK
+        assert [len(block[0]) for block in core.rank_blocks(ns[0], ns[-1])] == [
+            core._BLOCK, core._BLOCK, 1]
+        expected = []
+        for n in ns:
+            d = divisors_sorted(factorize(n))
+            expected.append((n, len(d), d[1], sum(d[1::2]), sum(d[0::2]), _oracle_pairing(d)))
+        assert list(rank_sums(ns)) == expected
 
     def test_far_window_matches_divisor_expansion(self):
         # one walk block of 2^14 n, converted to Python ints in two parts

@@ -1,10 +1,12 @@
 import dataclasses
 import sys
 from fractions import Fraction
+from functools import partial
 from math import isqrt
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from divrank import (
@@ -33,9 +35,10 @@ from divrank import (
     scan_unit_fraction,
     scan_upper_bound,
 )
-from divrank import cli
+from divrank import cli, core, theorems
 from divrank.classify import enumerate_index_ratio, scan_range
-from divrank.scanner import CHUNK_SIZE_DEFAULT
+from divrank.core import is_prime, rank_blocks, rank_sums
+from divrank.scanner import _TASKS, CHUNK_SIZE_DEFAULT
 from divrank.theorems import BOUNDED_EVIDENCE, _sigma_bounds_clauses
 from conftest import ORACLE_LIMIT, oracle_divisors, oracle_k
 
@@ -520,3 +523,206 @@ class TestWithoutSpfTable:
                 monkeypatch.setattr(module, "build_spf_sieve", refuse)
         for name, scan in scans.items():
             assert _untimed(scan()) == expected[name], name
+
+
+# ---------------------------------------------------------------------------
+# the dense checks' int64 masks against the exact Python predicates
+
+
+DENSE_CHECKS = ("upper-bound", "sigma-bounds", "conjecture-1", "conjecture-2", "pairing")
+MASKS = {
+    "upper-bound": theorems._upper_bound_masks,
+    "sigma-bounds": theorems._sigma_bounds_masks,
+    "conjecture-1": theorems._conjecture1_masks,
+    "conjecture-2": partial(theorems._pairing_masks, tau_cap=None),
+    "pairing": partial(theorems._pairing_masks, tau_cap=theorems.PAIRING_TAU_CAP),
+}
+
+
+# sigma_e next to which a verdict changes, from (n, tau, d_2, sigma_o); the
+# sigma-bounds clauses have their own edges below
+SE_EDGES = {
+    "any": lambda n, tau, d2, so: so * d2 // 3,
+    "prime": lambda n, tau, d2, so: n,
+    "upper bound": lambda n, tau, d2, so: so * d2 + (so - 1) // d2,
+    "k = d_2": lambda n, tau, d2, so: so * d2,
+    "k = 2": lambda n, tau, d2, so: 2 * so,
+    "k = 3": lambda n, tau, d2, so: 3 * so,
+    "k = n": lambda n, tau, d2, so: n * so,
+}
+
+
+# (tau, (sigma_o, sigma_e) from (n, m)): rows exactly on an edge of the
+# clause _TAU_CLAUSES[tau]
+TAU_EDGES = {
+    "k = n": (2, lambda n, m: (m, n * m)),
+    "k = 2": (4, lambda n, m: (m, 2 * m)),
+    "k = n/4": (4, lambda n, m: (4 * m, n * m)),
+    "k = 1": (6, lambda n, m: (m, m)),
+    "k = (n+4)/(n+1)": (6, lambda n, m: ((n + 1) * m, (n + 4) * m)),
+    "k = 2n/5": (6, lambda n, m: (5 * m, 2 * n * m)),
+}
+
+
+def _python_masks(n, tau, d2, se, so, paired):
+    """What each check's (counted, suspect) masks must say of one row, from the
+    Python predicates on Python ints."""
+    k, rest = divmod(se, so)
+    non_square = tau % 2 == 0
+    out = {
+        "upper-bound": (non_square,
+                        non_square and not theorems._upper_bound_holds(d2, se, so)),
+        "sigma-bounds": (non_square,
+                         non_square and not all(theorems._sigma_bounds_holds(n, tau, se, so))),
+        "conjecture-1": (rest == 0, rest == 0 and (
+            k != d2 or (n % 2 == 0 and k != 2)
+            or (n % 2 == 1 and tau % 4 == 2 and n % 3 == 0 and k != 3))),
+    }
+    for name, cap in (("conjecture-2", None), ("pairing", theorems.PAIRING_TAU_CAP)):
+        within = rest == 0 and k >= 2 and (cap is None or tau <= cap)
+        out[name] = (within and k == d2, within and (k != d2 or not paired))
+    return out
+
+
+def _assert_masks_exact(block):
+    """Both masks of each check equal their predicates on every row of `block`."""
+    flagged = {name: [mask.tolist() for mask in masks(*block)] for name, masks in MASKS.items()}
+    for i, row in enumerate(zip(*(column.tolist() for column in block))):
+        for name, want in _python_masks(*row).items():
+            assert (flagged[name][0][i], flagged[name][1][i]) == want, (name, row)
+
+
+def _reference(rows):
+    """Each dense check's (violating n, applicable) by Python predicates alone."""
+    out = {name: ([], 0) for name in DENSE_CHECKS}
+
+    def add(name, n, violated):
+        bad, count = out[name]
+        out[name] = (bad + [n] * violated, count + 1)
+
+    for n, tau, d2, se, so, paired in rows:
+        if n < 2:
+            continue
+        if tau % 2 == 0:
+            add("upper-bound", n, not theorems._upper_bound_holds(d2, se, so))
+            clauses = theorems._sigma_bounds_clauses(n, tau, se, so)
+            add("sigma-bounds", n, any(not ok for name, ok in clauses.items()
+                                       if name != "tau4_bullet"))
+        k, rest = divmod(se, so)
+        if rest == 0:
+            add("conjecture-1", n, (k != d2) + (n % 2 == 0 and k != 2)
+                + (n % 2 == 1 and tau % 4 == 2 and n % 3 == 0 and k != 3))
+            if k >= 2 and (k == d2 or is_prime(k)):  # d_2 is prime (tests/test_core.py)
+                add("conjecture-2", n, not (paired and k == d2))
+                if tau <= theorems.PAIRING_TAU_CAP:
+                    add("pairing", n, not (paired and k == d2))
+    return out
+
+
+def _chunks(lo, hi):
+    """Each dense check's (violating n, applicable) from its chunk task."""
+    frags = {name: _TASKS[name][0](lo, hi) for name in DENSE_CHECKS}
+    return {name: ([v["n"] for v in frag["violations"]], frag["applicable"])
+            for name, frag in frags.items()}
+
+
+class TestDenseMasks:
+    @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=0, max_value=3000))
+    @settings(max_examples=40, deadline=None)
+    def test_window_matches_python_predicates(self, lo, width):
+        hi = lo + width
+        for block in rank_blocks(lo, hi):
+            _assert_masks_exact(block)
+        assert _chunks(lo, hi) == _reference(rank_sums(range(lo, hi + 1)))
+
+    def test_window_ending_below_the_kernel_bound(self, monkeypatch):
+        lo, hi = core.KERNEL_BOUND - 2**16, core.KERNEL_BOUND - 1
+        blocks = list(rank_blocks(lo, hi))
+        n, tau, d2 = blocks[-1][:3]
+        assert (n[-1], tau[-1], d2[-1]) == (hi, 2, hi)  # 2^31 - 1 is prime: d_2 = n
+        for block in blocks:
+            _assert_masks_exact(block)
+        rows = [row for block in blocks for row in zip(*(c.tolist() for c in block))]
+        # the chunk tasks read the blocks walked above
+        monkeypatch.setattr(theorems, "rank_blocks", lambda a, b: iter(blocks))
+        found = _chunks(lo, hi)
+        assert found == _reference(rows)
+        assert {name: len(found[name][0]) for name in DENSE_CHECKS} == {
+            "upper-bound": 0, "sigma-bounds": 0, "conjecture-1": 3, "conjecture-2": 3,
+            "pairing": 0}
+
+    @pytest.mark.parametrize("n, tau", [(1396755360, 1536), (2095133040, 1600)])
+    def test_highly_composite_n_near_the_bound(self, n, tau):
+        # tau and sigma(n)/n (5.24 and 5.20 here) near their largest below 2^31: the
+        # values that bound the masks' sums and products
+        block = next(rank_blocks(n - 64, n + 64))
+        at = 64
+        assert (block[0][at], block[1][at]) == (n, tau)
+        assert block[4][at] + block[3][at] > 5 * n
+        _assert_masks_exact(block)
+
+    @given(st.integers(min_value=2, max_value=core.KERNEL_BOUND - 1),
+           st.one_of(st.sampled_from([2, 4, 6]), st.integers(min_value=1, max_value=800).map(
+               lambda half: 2 * half)),
+           st.integers(min_value=1, max_value=2**34), st.integers(min_value=1, max_value=2**16 - 1),
+           st.integers(min_value=-3, max_value=3), st.sampled_from(sorted(SE_EDGES)),
+           st.booleans())
+    @settings(max_examples=500, deadline=None)
+    def test_masks_at_clause_edges(self, n, tau, so, d2, nudge, edge, paired):
+        """Values within the kernel's bounds, sigma_e placed next to one clause's edge."""
+        se = SE_EDGES[edge](n, tau, d2, so)
+        if se >= 2**34:  # keep sigma_e, like sigma(n), below 2^34
+            so = max(1, so * 2**33 // se)
+            se = SE_EDGES[edge](n, tau, d2, so)
+        se = max(1, se + nudge)
+        if edge == "prime":  # d_2 = n only where n is prime, and then sigma_o = 1
+            d2, so = n, 1
+        block = (np.array([n]), np.array([tau]), np.array([d2], dtype=np.int32),
+                 np.array([se]), np.array([so]), np.array([paired]))
+        _assert_masks_exact(block)
+
+    @given(st.integers(min_value=4, max_value=core.KERNEL_BOUND - 1),
+           st.integers(min_value=1, max_value=800).map(lambda half: 2 * half),
+           st.sampled_from(theorems._CHAIN_CLAUSES[:4]), st.integers(min_value=-2, max_value=2))
+    @settings(max_examples=500, deadline=None)
+    def test_chain_term_at_each_clause_edge(self, n, tau, clause, nudge):
+        """One linear clause at its edge, sigma_e and sigma_o inside the others' bounds."""
+        se_range = (tau - 2 + n, (tau + 2) * n // 4)
+        so_range = (tau - 1, ((tau - 2) * n + 4) // 4)
+        se, so = sum(se_range) // 2, sum(so_range) // 2
+        if clause.startswith("sigma_e"):
+            se = se_range[clause.endswith("upper")] + nudge
+        else:
+            so = max(1, so_range[clause.endswith("lower")] + nudge)
+        holds = theorems._sigma_bounds_holds(n, tau, se, so)
+        n_, tau_, se_, so_ = (np.array([value]) for value in (n, tau, se, so))
+        assert theorems._chain_fails(n_, tau_, se_, so_).tolist() == [not all(holds[:6])]
+
+    @given(st.one_of(st.integers(min_value=2, max_value=1000),
+                     st.integers(min_value=2, max_value=core.KERNEL_BOUND - 1)),
+           st.integers(min_value=1, max_value=2**20), st.integers(min_value=-1, max_value=1),
+           st.sampled_from(sorted(TAU_EDGES)))
+    @settings(max_examples=500, deadline=None)
+    def test_tau_clause_term_at_its_edges(self, n, m, nudge, edge):
+        tau, place = TAU_EDGES[edge]
+        so, se = place(n, m)
+        if se >= 2**34 or so >= 2**34:  # keep both, like sigma(n), below 2^34
+            m = max(1, m * 2**33 // max(se, so))
+            so, se = place(n, m)
+        se = max(1, se + nudge)
+        holds = theorems._sigma_bounds_holds(n, tau, se, so)
+        n_, tau_, se_, so_ = (np.array([value]) for value in (n, tau, se, so))
+        assert theorems._tau_clause_fails(n_, tau_, se_, so_).tolist() == [not holds[6]]
+
+    @given(st.integers(min_value=1, max_value=10**12), st.integers(min_value=1, max_value=10**6),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_linear_clauses_imply_the_combined_ones(self, n, tau, data):
+        # why _chain_fails needs no term for combined_lower and combined_upper
+        low, high4, rec4 = tau - 2 + n, (tau + 2) * n, (tau - 2) * n + 4
+        assume(low <= high4 // 4 and tau - 1 <= rec4 // 4 and rec4 // 4 >= 1)
+        se = data.draw(st.integers(min_value=max(low, 1), max_value=high4 // 4))
+        so = data.draw(st.integers(min_value=max(tau - 1, 1), max_value=rec4 // 4))
+        holds = theorems._sigma_bounds_holds(n, tau, se, so)
+        assert all(holds[:4])
+        assert holds[4] and holds[5]
