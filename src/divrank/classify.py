@@ -11,7 +11,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .core import RangeOverlapError, _rank_row, divisor_list_of, parse_rational, rank_sums
+import numpy as np
+
+from .core import (
+    RangeOverlapError,
+    _rank_row,
+    divisor_list_of,
+    parse_rational,
+    rank_blocks,
+    rank_sums,
+)
 from .scanner import CHUNK_SIZE_DEFAULT, register_task, run_scan
 
 
@@ -44,18 +53,23 @@ def _class_key(se, so):
 
 def _gk_chunk(lo, hi):
     classes: dict[str, list[int]] = {}
-    for n, tau, d2, se, so, paired in rank_sums(range(lo, hi + 1)):
+    for n, tau, d2, se, so, paired in rank_sums(lo, hi):
         classes.setdefault(_class_key(se, so), []).append(n)
     return {"classes": classes}
 
 
 def _irn_chunk(lo, hi):
-    return {"members": [n for n, tau, d2, se, so, paired in rank_sums(range(lo, hi + 1))
-                        if se % so == 0]}
+    """(n, tau, sigma_e, sigma_o) of each index ratio number in [lo, hi]: all that
+    `irn` prints, so it never walks the kernel twice."""
+    rows = []
+    for n, tau, d2, se, so, paired in rank_blocks(lo, hi):
+        at = np.flatnonzero(se % so == 0)  # so >= 1
+        rows += zip(*(column[at].tolist() for column in (n, tau, se, so)))
+    return {"rows": rows}
 
 
 register_task("gk", _gk_chunk, {"classes": {}})
-register_task("irn", _irn_chunk, {"members": []})
+register_task("irn", _irn_chunk, {"rows": []})
 
 
 def scan_range(lo: int, hi: int, *, workers: int = 1, chunk_size: int = CHUNK_SIZE_DEFAULT,
@@ -81,7 +95,7 @@ def enumerate_index_ratio(limit: int, workers: int = 1) -> list[int]:
     """Ascending list of all index ratio numbers <= limit."""
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    return run_scan("irn", 1, limit, workers=workers)["members"]
+    return [row[0] for row in run_scan("irn", 1, limit, workers=workers)["rows"]]
 
 
 def merge_tables(a: GkTable, b: GkTable) -> GkTable:

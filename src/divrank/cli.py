@@ -19,17 +19,10 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 
-from .classify import _class_key, enumerate_index_ratio, scan_range
-from .core import (
-    CheckpointError,
-    ScanInterrupted,
-    format_rational,
-    parse_rational,
-    rank_sums,
-)
-from .scanner import _TASKS, CHUNK_SIZE_DEFAULT
+from .classify import _class_key, scan_range
+from .core import CheckpointError, ScanInterrupted, format_rational, parse_rational
+from .scanner import _TASKS, CHUNK_SIZE_DEFAULT, run_scan
 from .sigma import profile
 from .theorems import (
     ScanReport,
@@ -287,7 +280,12 @@ def render_report(report: ScanReport, fmt, timing):
     return "\n".join(lines) + "\n"
 
 
-def render_irn(limit, members, fmt):
+def render_irn(limit, rows, fmt):
+    """`rows` holds (n, tau, sigma_e, sigma_o) of each index ratio number, ascending."""
+    if fmt == "csv":
+        return _csv_text([(n, tau, se, so, se // so, "true") for n, tau, se, so in rows],
+                         CSV_PROFILE_COLUMNS)
+    members = [row[0] for row in rows]
     if fmt == "json":
         return _json_text({
             "kind": "irn",
@@ -295,13 +293,6 @@ def render_irn(limit, members, fmt):
             "count": len(members),
             "members": members,
         })
-    if fmt == "csv":
-        # the members' profile rows from one kernel walk, not a divisor list each
-        wanted = set(members)
-        rows = [(n, tau, se, so, format_rational(Fraction(se, so)), _bool_str(se % so == 0))
-                for n, tau, d2, se, so, paired in rank_sums(range(1, limit + 1))
-                if n in wanted]
-        return _csv_text(rows, CSV_PROFILE_COLUMNS)
     return ", ".join(map(str, members)) + "\n"
 
 
@@ -369,8 +360,8 @@ def cmd_scan(args):
 
 
 def cmd_irn(args):
-    members = enumerate_index_ratio(args.max, workers=args.workers)
-    emit(render_irn(args.max, members, args.format), args.out)
+    rows = run_scan("irn", 1, args.max, workers=args.workers)["rows"]
+    emit(render_irn(args.max, rows, args.format), args.out)
     return 0
 
 

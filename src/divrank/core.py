@@ -5,10 +5,10 @@ can never overflow or wrap. The one exception is the block rank-sum kernel,
 `rank_blocks`, which hands out numpy arrays (int64 sums, int32 d_2) and works
 only for n < KERNEL_BOUND = 2**31, where none of its values can outgrow its
 dtype; the dense range checks test those arrays with int64 masks bounded the
-same way. Range scans sieve what they need per block, and single-n calls
-factor by trial division. Rationals are stdlib
-``fractions.Fraction``, which is always in canonical reduced form with a
-positive denominator and renders as "num/den" (eliding "/1").
+same way. The block range scans sieve what they need per block; single-n
+calls, the squares scans' among them, factor by trial division. Rationals are
+stdlib ``fractions.Fraction``, which is always in canonical reduced form with
+a positive denominator and renders as "num/den" (eliding "/1").
 """
 
 from __future__ import annotations
@@ -110,9 +110,16 @@ def primes_upto(limit: int) -> list[int]:
 
 
 def factorize(n: int) -> Factorization:
-    """Prime factorization by trial division; empty for n = 1."""
+    """Prime factorization by trial division; empty for n = 1.
+
+    A perfect square r^2 is factored through r, its exponents doubled: trial
+    division of r^2 itself would run up to the largest prime of r.
+    """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
+    r = isqrt(n)
+    if r > 1 and r * r == n:
+        return Factorization(n, tuple((p, 2 * e) for p, e in factorize(r).factors))
     factors = []
     m = n
     for p in (2, 3):
@@ -177,20 +184,12 @@ def rank_blocks(lo, hi):
         yield _block_rank_sums(a, min(a + width - 1, hi))
 
 
-def rank_sums(ns):
-    """The rank_blocks rows for each n of `ns`, as tuples of Python ints and a bool.
-
-    The kernel behind the G_k and index-ratio scans. A `range` is a view over
-    rank_blocks; any other iterable (the squares of the lower-bound and
-    conjecture-3 scans) factors each n by trial division and expands its list.
-    """
-    if isinstance(ns, range) and ns.step == 1:
-        for block in rank_blocks(ns.start, ns.stop - 1):
-            for i in range(0, len(block[0]), _BLOCK):  # bounds the int lists of a wide block
-                yield from zip(*(column[i : i + _BLOCK].tolist() for column in block))
-        return
-    for n in ns:
-        yield _rank_row(divisor_list_of(n))
+def rank_sums(lo, hi):
+    """The rank_blocks rows of each n in [lo, hi], as tuples of Python ints and a bool:
+    the G_k scan's view of the kernel."""
+    for block in rank_blocks(lo, hi):
+        for i in range(0, len(block[0]), _BLOCK):  # bounds the int lists of a wide block
+            yield from zip(*(column[i : i + _BLOCK].tolist() for column in block))
 
 
 def _rank_row(divs):

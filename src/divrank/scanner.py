@@ -142,21 +142,24 @@ def run_scan(task, lo, hi, *, workers=1, chunk_size=CHUNK_SIZE_DEFAULT,
         if start > hi:
             return state
 
-    chunks = [(a, min(a + chunk_size - 1, hi)) for a in range(start, hi + 1, chunk_size)]
-    todo = chunks if max_chunks is None else chunks[:max_chunks]
-    interrupted = len(todo) < len(chunks)
+    # chunk starts as a range, sliced and counted without listing a chunk
+    starts = range(start, hi + 1, chunk_size)
+    todo = starts if max_chunks is None else starts[:max_chunks]
 
-    jobs = [(task, a, b) for a, b in todo]
+    def end(a):
+        return min(a + chunk_size - 1, hi)
+
+    jobs = ((task, a, end(a)) for a in todo)
     parallel = workers > 1 and len(todo) > 1
     with multiprocessing.Pool(workers) if parallel else contextlib.nullcontext() as pool:
         frags = pool.imap(_run_chunk, jobs) if parallel else map(_run_chunk, jobs)
-        for (a, b), frag in zip(todo, frags):
+        for a, frag in zip(todo, frags):
             state = merge_fn(state, frag)
             if checkpoint:
-                save_checkpoint(checkpoint, task, digest, b, state)
+                save_checkpoint(checkpoint, task, digest, end(a), state)
 
-    if interrupted:
-        raise ScanInterrupted(checkpoint, todo[-1][1])
+    if len(todo) < len(starts):
+        raise ScanInterrupted(checkpoint, end(todo[-1]))
     if checkpoint and os.path.exists(checkpoint):
         os.remove(checkpoint)
     return state

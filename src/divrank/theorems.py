@@ -9,6 +9,7 @@ say so in fixed wording.
 
 from __future__ import annotations
 
+import copy
 import random
 import time
 from dataclasses import dataclass, field
@@ -29,7 +30,6 @@ from .core import (
     next_prime_above,
     primes_upto,
     rank_blocks,
-    rank_sums,
 )
 from .scanner import CHUNK_SIZE_DEFAULT, register_task, run_scan
 from .sigma import is_perfect_square, k_ratio, profile
@@ -335,15 +335,29 @@ def check_unit_fraction_gap(p: int, l: int) -> bool:
 # n < KERNEL_BOUND = 2**31, where tau(n) <= 1600 and sigma(n) < 2**34.
 
 
-def _flagged(lo, hi, masks):
-    """Per kernel block of [max(lo, 2), hi], with (counted, suspect) = masks(*block):
-    how many rows `counted` flags, and the rows `suspect` flags as Python ints.
-    Each block is dropped before the next one is walked."""
-    def split(block):
+_TALLY = {"violations": [], "applicable": 0}
+
+
+def _dense_check(name, masks, check_row, empty=_TALLY):
+    """Register `name` as a dense check. Per kernel block of [max(lo, 2), hi], with
+    (counted, suspect) = masks(*block), its chunk adds the rows `counted` flags to
+    `applicable` and passes each row `suspect` flags to check_row(fragment, *row), in
+    Python ints."""
+    def flagged(block):
         counted, suspect = masks(*block)
         at = np.flatnonzero(suspect)
         return int(np.count_nonzero(counted)), zip(*(column[at].tolist() for column in block))
-    return map(split, rank_blocks(max(lo, 2), hi))
+
+    def chunk(lo, hi):
+        fragment = copy.deepcopy(empty)
+        # map drops each block before the next one is walked
+        for count, rows in map(flagged, rank_blocks(max(lo, 2), hi)):
+            fragment["applicable"] += count
+            for row in rows:
+                check_row(fragment, *row)
+        return fragment
+
+    register_task(name, chunk, empty)
 
 
 def _upper_bound_masks(n, tau, d2, se, so, paired):
@@ -404,30 +418,73 @@ def _pairing_masks(n, tau, d2, se, so, paired, tau_cap):
     return integer & (k == d2), integer & ((k != d2) | ~paired)
 
 
-def _upper_bound_chunk(lo, hi):
-    violations = []
-    applicable = 0
-    for count, rows in _flagged(lo, hi, _upper_bound_masks):
-        applicable += count
-        for n, tau, d2, se, so, paired in rows:
-            if not _upper_bound_holds(d2, se, so):
-                violations.append({
-                    "n": n,
-                    "expected": f"k < {d2}+1/{d2}",
-                    "actual": f"k={se}/{so}",
-                })
-    return {"violations": violations, "applicable": applicable}
+def _upper_bound_row(fragment, n, tau, d2, se, so, paired):
+    if not _upper_bound_holds(d2, se, so):
+        fragment["violations"].append({
+            "n": n,
+            "expected": f"k < {d2}+1/{d2}",
+            "actual": f"k={se}/{so}",
+        })
+
+
+def _sigma_bounds_row(fragment, n, tau, d2, se, so, paired):
+    if all(_sigma_bounds_holds(n, tau, se, so)):
+        return
+    clauses = _sigma_bounds_clauses(n, tau, se, so)
+    bad = [name for name, ok in clauses.items() if not ok and name != "tau4_bullet"]
+    if bad:
+        fragment["violations"].append({
+            "n": n,
+            "expected": "bound chain holds",
+            "actual": "failed clauses: " + ",".join(bad),
+        })
+    if not clauses.get("tau4_bullet", True):
+        fragment["tau4_failures"].append(n)
+
+
+def _pairing_row(fragment, n, tau, d2, se, so, paired):
+    # no power-identity grid: with the divisors paired as (d, p d), sigma_e,a =
+    # p^a sigma_o,a holds term by term for every a
+    p = se // so
+    if p != d2:
+        if not is_prime(p):
+            return
+        fragment["applicable"] += 1
+    if not (paired and p == d2):  # d_2j = p d_2j-1 for all j, j = 1 included
+        fragment["violations"].append({
+            "n": n,
+            "expected": f"d_2j = {p} d_2j-1 for all j",
+            "actual": f"divisors {divisor_list_of(n)}",
+        })
+
+
+def _conjecture1_row(fragment, n, tau, d2, se, so, paired):
+    k = se // so
+    violations = fragment["violations"]
+    if k != d2:
+        violations.append({"n": n, "expected": f"k = d_2 = {d2}", "actual": f"k={k}"})
+    if n % 2 == 0 and k != 2:
+        violations.append({
+            "n": n, "expected": "even index ratio numbers have k = 2", "actual": f"k={k}",
+        })
+    if n % 2 and tau % 4 == 2 and n % 3 == 0 and k != 3:
+        violations.append({
+            "n": n,
+            "expected": "odd n with tau = 2 mod 4 and 3 | n has k = 3",
+            "actual": f"k={k}",
+        })
 
 
 def _squares(lo, hi):
-    """The perfect squares in [lo, hi], ascending."""
-    return (r * r for r in range(isqrt(lo - 1) + 1, isqrt(hi) + 1))
+    """The rows of the perfect squares in [lo, hi], ascending, by the single-n path:
+    factorize factors each square through its root."""
+    return (_rank_row(divisor_list_of(r * r)) for r in range(isqrt(lo - 1) + 1, isqrt(hi) + 1))
 
 
 def _lower_bound_chunk(lo, hi):
     violations = []
     applicable = 0
-    for n, tau, d2, se, so, paired in rank_sums(_squares(max(lo, 4), hi)):
+    for n, tau, d2, se, so, paired in _squares(max(lo, 4), hi):
         applicable += 1
         holds, equality = _lower_bound_verdict(d2, se, so)
         if not holds:
@@ -446,93 +503,21 @@ def _lower_bound_chunk(lo, hi):
     return {"violations": violations, "applicable": applicable}
 
 
-def _sigma_bounds_chunk(lo, hi):
-    violations = []
-    tau4_failures = []
-    applicable = 0
-    for count, rows in _flagged(lo, hi, _sigma_bounds_masks):
-        applicable += count
-        for n, tau, d2, se, so, paired in rows:
-            if all(_sigma_bounds_holds(n, tau, se, so)):
-                continue
-            clauses = _sigma_bounds_clauses(n, tau, se, so)
-            bad = [name for name, ok in clauses.items() if not ok and name != "tau4_bullet"]
-            if bad:
-                violations.append({
-                    "n": n,
-                    "expected": "bound chain holds",
-                    "actual": "failed clauses: " + ",".join(bad),
-                })
-            if not clauses.get("tau4_bullet", True):
-                tau4_failures.append(n)
-    return {"violations": violations, "applicable": applicable, "tau4_failures": tau4_failures}
-
-
-def _pairing_chunk(lo, hi, tau_cap=PAIRING_TAU_CAP):
-    violations = []
-    applicable = 0
-    for count, rows in _flagged(lo, hi, partial(_pairing_masks, tau_cap=tau_cap)):
-        applicable += count
-        for n, tau, d2, se, so, paired in rows:
-            p = se // so
-            if p != d2:
-                if not is_prime(p):
-                    continue
-                applicable += 1
-            if not (paired and p == d2):  # d_2j = p d_2j-1 for all j, j = 1 included
-                violations.append({
-                    "n": n,
-                    "expected": f"d_2j = {p} d_2j-1 for all j",
-                    "actual": f"divisors {divisor_list_of(n)}",
-                })
-        # no power-identity grid: with the divisors paired as (d, p d), sigma_e,a =
-        # p^a sigma_o,a holds term by term for every a
-    return {"violations": violations, "applicable": applicable}
-
-
-def _conjecture2_chunk(lo, hi):
-    return _pairing_chunk(lo, hi, tau_cap=None)
-
-
-def _conjecture1_chunk(lo, hi):
-    violations = []
-    applicable = 0
-    for count, rows in _flagged(lo, hi, _conjecture1_masks):
-        applicable += count
-        for n, tau, d2, se, so, paired in rows:
-            k = se // so
-            if k != d2:
-                violations.append({
-                    "n": n, "expected": f"k = d_2 = {d2}", "actual": f"k={k}",
-                })
-            if n % 2 == 0 and k != 2:
-                violations.append({
-                    "n": n, "expected": "even index ratio numbers have k = 2", "actual": f"k={k}",
-                })
-            if n % 2 and tau % 4 == 2 and n % 3 == 0 and k != 3:
-                violations.append({
-                    "n": n,
-                    "expected": "odd n with tau = 2 mod 4 and 3 | n has k = 3",
-                    "actual": f"k={k}",
-                })
-    return {"violations": violations, "applicable": applicable}
-
-
 def _conjecture3_chunk(lo, hi):
     # domain: n = 1 and the perfect squares, the only integers with k < 1
     seen: dict[str, list[int]] = {}
-    for n, tau, d2, se, so, paired in rank_sums(_squares(lo, hi)):
+    for n, tau, d2, se, so, paired in _squares(lo, hi):
         seen.setdefault(_class_key(se, so), []).append(n)
     return {"seen": seen}
 
 
-_TALLY = {"violations": [], "applicable": 0}
-register_task("upper-bound", _upper_bound_chunk, _TALLY)
+_dense_check("upper-bound", _upper_bound_masks, _upper_bound_row)
 register_task("lower-bound", _lower_bound_chunk, _TALLY)
-register_task("sigma-bounds", _sigma_bounds_chunk, {**_TALLY, "tau4_failures": []})
-register_task("pairing", _pairing_chunk, _TALLY)
-register_task("conjecture-1", _conjecture1_chunk, _TALLY)
-register_task("conjecture-2", _conjecture2_chunk, _TALLY)
+_dense_check("sigma-bounds", _sigma_bounds_masks, _sigma_bounds_row,
+             {**_TALLY, "tau4_failures": []})
+_dense_check("pairing", partial(_pairing_masks, tau_cap=PAIRING_TAU_CAP), _pairing_row)
+_dense_check("conjecture-1", _conjecture1_masks, _conjecture1_row)
+_dense_check("conjecture-2", partial(_pairing_masks, tau_cap=None), _pairing_row)
 register_task("conjecture-3", _conjecture3_chunk, {"seen": {}})
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from divrank import (
     scan_range,
 )
 from divrank.classify import GkTable
-from divrank.scanner import load_checkpoint, save_checkpoint
+from divrank.scanner import load_checkpoint, run_scan, save_checkpoint
 
 # the published 23-element prefix of the index ratio numbers
 IRN_PREFIX_32 = [1, 2, 3, 5, 6, 7, 8, 10, 11, 13, 14, 15, 17, 18, 19, 21, 22,
@@ -261,3 +262,15 @@ class TestCheckpoint:
     def test_max_chunks_requires_checkpoint(self):
         with pytest.raises(ValueError):
             scan_range(1, 2000, max_chunks=1)
+
+    def test_budgeted_scan_lists_no_chunks(self, tmp_path):
+        # 200,000 chunks of one n each, two of them run: the chunks not run cost nothing
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScanInterrupted):
+                run_scan("lower-bound", 1, 200_000, chunk_size=1, max_chunks=2,
+                         checkpoint=str(tmp_path / "ck"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000

@@ -1,11 +1,12 @@
 import hashlib
 import json
+import sys
 from importlib import resources
 
 import pytest
 from jsonschema import Draft202012Validator
 
-from divrank import cli, scanner
+from divrank import cli, core, scanner
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +194,21 @@ class TestIrn:
         assert lines[0] == "n,tau,sigma_e,sigma_o,k,is_index_ratio"
         assert lines[-1] == "8,4,10,5,2,true"
         assert all(line.endswith(",true") for line in lines[1:])
+
+    def test_csv_walks_each_n_once(self, capsys, monkeypatch):
+        walked = []
+        kernel = core.rank_blocks
+
+        def counted(lo, hi):
+            for block in kernel(lo, hi):
+                walked.append(len(block[0]))
+                yield block
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("divrank") and getattr(module, "rank_blocks", None) is kernel:
+                monkeypatch.setattr(module, "rank_blocks", counted)
+        code, _, _ = run_cli(capsys, "irn", "--max", "20000", "--format", "csv")
+        assert (code, sum(walked)) == (0, 20_000)
 
 
 class TestOutAndDeterminism:

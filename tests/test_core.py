@@ -15,7 +15,7 @@ from divrank import (
     parse_rational,
     rational_of,
 )
-from divrank import core
+from divrank import core, theorems
 from divrank.core import rank_sums
 from conftest import ORACLE_LIMIT, oracle_divisors, oracle_factorize
 
@@ -52,6 +52,27 @@ class TestFactorize:
         assert product == n
         primes = [p for p, _ in f.factors]
         assert primes == sorted(set(primes))
+
+
+class TestFactorizeSquare:
+    """A perfect square is factored through its root."""
+
+    @given(st.integers(min_value=1, max_value=10**4))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle(self, r):
+        assert factorize(r * r).factors == oracle_factorize(r * r)
+
+    def test_primes_below_the_root_of_the_kernel_bound(self):
+        primes = [p for p in range(isqrt(2**31), 46_000, -1) if is_prime(p)][:5]
+        assert primes[0] == 46337
+        for p in primes:
+            assert factorize(p * p).factors == oracle_factorize(p * p) == ((p, 2),)
+
+    def test_square_near_1e12(self):
+        # trial division of n itself would run to 10^6; the root's stops near 10^3
+        p = 999_983
+        assert is_prime(p)
+        assert factorize(p * p).factors == oracle_factorize(p * p) == ((p, 2),)
 
 
 class TestPublicSurface:
@@ -114,7 +135,7 @@ def _oracle_rank_sums(ns, div_lists):
 
 def _kernel(ns):
     return [(n, tau, d2 if n > 1 else None, se, so, paired)
-            for n, tau, d2, se, so, paired in rank_sums(ns)]
+            for n, tau, d2, se, so, paired in rank_sums(ns[0], ns[-1])]
 
 
 windows = st.integers(min_value=1, max_value=ORACLE_LIMIT).flatmap(
@@ -132,16 +153,32 @@ class TestRankSums:
     @given(windows)
     @settings(max_examples=60, deadline=None)
     def test_squares_match_oracle(self, oracle_div_lists, window):
+        # the rows the lower-bound and conjecture-3 scans read, by the single-n path
         lo, hi = window
         squares = [r * r for r in range(isqrt(lo - 1) + 1, isqrt(hi) + 1)]
-        assert _kernel(iter(squares)) == _oracle_rank_sums(squares, oracle_div_lists)
+        rows = [(n, tau, d2 if n > 1 else None, se, so, paired)
+                for n, tau, d2, se, so, paired in theorems._squares(lo, hi)]
+        assert rows == _oracle_rank_sums(squares, oracle_div_lists)
 
-    @pytest.mark.parametrize("as_input", [lambda ns: ns, iter], ids=["block", "per-n"])
-    def test_every_n_in_one_call(self, oracle_div_lists, as_input):
+    @given(st.integers(min_value=1, max_value=10**7), st.integers(min_value=0, max_value=3 * 10**4))
+    @settings(max_examples=40, deadline=None)
+    def test_squares_match_the_block_kernel(self, lo, width):
+        hi = lo + width
+        odd_tau = [row for row in rank_sums(lo, hi) if row[1] % 2]
+        assert list(theorems._squares(lo, hi)) == odd_tau
+
+    def test_squares_below_the_kernel_bound_match_the_block_kernel(self):
+        # 46340^2 and 46339^2, the two largest squares below 2^31
+        lo, hi = core.KERNEL_BOUND - 2**18, core.KERNEL_BOUND - 1
+        odd_tau = [row for row in rank_sums(lo, hi) if row[1] % 2]
+        assert [row[0] for row in odd_tau] == [46339**2, 46340**2]
+        assert list(theorems._squares(lo, hi)) == odd_tau
+
+    def test_every_n_in_one_call(self, oracle_div_lists):
         # one range of 10^4 fits one walk block; test_window_of_three_blocks crosses two seams
         assert ORACLE_LIMIT <= core._BLOCK
         ns = range(1, ORACLE_LIMIT + 1)
-        assert _kernel(as_input(ns)) == _oracle_rank_sums(ns, oracle_div_lists)
+        assert _kernel(ns) == _oracle_rank_sums(ns, oracle_div_lists)
 
     def test_window_of_three_blocks_matches_trial_division(self):
         # starts off the block grid, so the range is walked as blocks of _BLOCK n
@@ -155,7 +192,7 @@ class TestRankSums:
         for n in ns:
             d = divisors_sorted(factorize(n))
             expected.append((n, len(d), d[1], sum(d[1::2]), sum(d[0::2]), _oracle_pairing(d)))
-        assert list(rank_sums(ns)) == expected
+        assert list(rank_sums(ns[0], ns[-1])) == expected
 
     def test_far_window_matches_divisor_expansion(self):
         # one walk block of 2^14 n, converted to Python ints in two parts
@@ -165,7 +202,7 @@ class TestRankSums:
         for n in ns:
             d = divisors_sorted(factorize(n))
             expected.append((n, len(d), d[1], sum(d[1::2]), sum(d[0::2]), _oracle_pairing(d)))
-        assert list(rank_sums(ns)) == expected
+        assert list(rank_sums(ns[0], ns[-1])) == expected
 
     def test_window_below_the_kernel_bound_matches_trial_division(self):
         # no SPF table reaches this far: the block sieves its own d_2
@@ -174,11 +211,11 @@ class TestRankSums:
         for n in ns:
             d = divisors_sorted(factorize(n))
             expected.append((n, len(d), d[1], sum(d[1::2]), sum(d[0::2]), _oracle_pairing(d)))
-        assert list(rank_sums(ns)) == expected
+        assert list(rank_sums(ns[0], ns[-1])) == expected
 
     def test_refuses_n_beyond_int32(self):
         with pytest.raises(ValueError):
-            list(rank_sums(range(2**31 - 2, 2**31 + 1)))
+            list(rank_sums(2**31 - 2, 2**31))
 
     def test_reciprocal_sum_is_odd_rank_sum_for_non_squares(self, oracle_div_lists):
         # n/d_i = d_{tau+1-i} maps even ranks onto odd ones when tau is even

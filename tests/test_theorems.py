@@ -633,7 +633,7 @@ class TestDenseMasks:
         hi = lo + width
         for block in rank_blocks(lo, hi):
             _assert_masks_exact(block)
-        assert _chunks(lo, hi) == _reference(rank_sums(range(lo, hi + 1)))
+        assert _chunks(lo, hi) == _reference(rank_sums(lo, hi))
 
     def test_window_ending_below_the_kernel_bound(self, monkeypatch):
         lo, hi = core.KERNEL_BOUND - 2**16, core.KERNEL_BOUND - 1
