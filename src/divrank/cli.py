@@ -198,23 +198,29 @@ def render_profile(prof, fmt):
     return "\n".join(lines) + "\n"
 
 
+# json.dumps(indent=2) of one class, which never runs the C encoder; keys come
+# from _class_key, digits and "/" only, so they need no escaping
+_CLASS_JSON = ('    {\n      "k": "%s",\n      "count": %d,\n'
+               '      "first_members": %s,\n      "last_members": %s\n    }')
+
+
+def _members_json(members):
+    return ("[\n        " + ",\n        ".join(map(str, members)) + "\n      ]") if members else "[]"
+
+
+def _class_json(k, members):
+    first = _members_json(members[:8])
+    last = first if len(members) <= 8 else _members_json(members[-8:])
+    return _CLASS_JSON % (k, len(members), first, last)
+
+
 def render_table(table, filters, fmt):
     rows = [(k, table.classes.get(k, [])) for k in filters] if filters else table.classes.items()
-    if fmt == "json":
-        return _json_text({
-            "kind": "table",
-            "lo": table.lo,
-            "hi": table.hi,
-            "classes": [
-                {
-                    "k": k,
-                    "count": len(members),
-                    "first_members": members[:8],
-                    "last_members": members[-8:],
-                }
-                for k, members in rows
-            ],
-        })
+    if fmt == "json":  # the bytes _json_text gives the payload, from a per-class template
+        classes = ",\n".join([_class_json(k, members) for k, members in rows])
+        classes = f"[\n{classes}\n  ]" if classes else "[]"
+        return (f'{{\n  "kind": "table",\n  "lo": {table.lo},\n  "hi": {table.hi},\n'
+                f'  "classes": {classes}\n}}\n')
     if fmt == "csv":
         body = [
             (k, len(members),

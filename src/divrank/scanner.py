@@ -3,7 +3,8 @@
 A scan partitions [lo, hi] into fixed-size contiguous chunks, runs a
 registered per-chunk task, and merges fragments in chunk order. Output is
 therefore identical for any worker count, and a run interrupted at a chunk
-boundary resumes from its checkpoint to the same result.
+boundary resumes from its checkpoint to the same result. A checkpoint is an
+append-only log: a header line, then one line per chunk with its fragment.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import os
 from .core import KERNEL_BOUND, CheckpointError, ScanInterrupted
 
 CHUNK_SIZE_DEFAULT = 1 << 16
-CHECKPOINT_VERSION = 3  # 3: G_k class keys are the printed k ("2", not "2/1")
-_STATE_KEY = b',"state":'  # a checkpoint's last key: the state's bytes follow it
+CHECKPOINT_VERSION = 4  # 4: a header line, then one appended line per chunk
+_FRAGMENT_KEY = b',"fragment":'  # a chunk line's last key: the fragment's bytes follow it
 
 # name -> (chunk_fn(lo, hi) -> fragment,
 #          merge_fn(state, fragment) -> state,
@@ -61,30 +62,55 @@ def config_digest(task: str, lo: int, hi: int, chunk_size: int) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def save_checkpoint(path, task, config_hash, last_n, state):
-    """One JSON object with the state written last, serialized once: its digest
-    covers exactly those bytes, so load_checkpoint can hash them as read."""
-    body = json.dumps(state, separators=(",", ":")).encode()
-    head = json.dumps({
-        "version": CHECKPOINT_VERSION,
-        "task": task,
-        "config_hash": config_hash,
-        "last_n": last_n,
-        "state_sha256": hashlib.sha256(body).hexdigest(),
-    }, separators=(",", ":"))
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.writelines((head[:-1].encode(), _STATE_KEY, body, b"}\n"))
-    os.replace(tmp, path)
+def _chunk_line(last_n, fragment):
+    """One chunk's log line, its fragment serialized once and written last, so that
+    the digest covers exactly the bytes load_checkpoint reads back."""
+    body = json.dumps(fragment, separators=(",", ":")).encode()
+    head = json.dumps({"last_n": last_n, "sha256": hashlib.sha256(body).hexdigest()},
+                      separators=(",", ":"))
+    return b"".join((head[:-1].encode(), _FRAGMENT_KEY, body, b"}\n"))
 
 
-def load_checkpoint(path, task, config_hash):
-    """Validated (last_n, state) from a checkpoint written by save_checkpoint."""
+def _write_synced(path, mode, data):
+    with open(path, mode) as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
+def save_checkpoint(path, task, config_hash, last_n, fragment):
+    """Append the chunk ending at `last_n` to the log at `path` with a single write,
+    so a kill tears at most that line. A new log appears whole, by rename, with its
+    header line: {version, task, config_hash}."""
+    line = _chunk_line(last_n, fragment)
+    if os.path.exists(path):
+        _write_synced(path, "ab", line)
+        return
+    head = json.dumps({"version": CHECKPOINT_VERSION, "task": task, "config_hash": config_hash},
+                      separators=(",", ":"))
+    _write_synced(f"{path}.tmp", "wb", head.encode() + b"\n" + line)
+    os.replace(f"{path}.tmp", path)
+
+
+def load_checkpoint(path, task, config_hash, chunk_ends=()):
+    """(chunks, state) replayed from the log save_checkpoint appends to, validated.
+
+    Line i + 1 must hold chunk i: a fragment of the task's shape, its digest, and
+    as last_n the i-th of `chunk_ends`, the scan's chunk ends in order. An
+    unterminated last line is a torn append: once the rest validates, it is cut
+    off, and its chunk is recomputed.
+    """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-        doc = json.loads(raw)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
+        raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
+    whole = raw.rfind(b"\n") + 1  # the end of the last complete line
+    head, _, rest = raw[:whole].partition(b"\n")
+    lines = rest.split(b"\n")[:-1]
+    try:
+        doc = json.loads(head)
+    except ValueError as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version in {path}")
@@ -92,15 +118,31 @@ def load_checkpoint(path, task, config_hash):
         raise CheckpointError(f"checkpoint {path} belongs to task {doc.get('task')!r}, not {task!r}")
     if doc.get("config_hash") != config_hash:
         raise CheckpointError(f"checkpoint {path} was written under a different configuration")
-    last_n, state = doc.get("last_n"), doc.get("state")
-    # type(), not isinstance(): JSON true would pass as the int 1
-    if type(last_n) is not int or not _same_shape(state, _TASKS[task][2]()):
-        raise CheckpointError(f"checkpoint {path} has a missing or malformed last_n or state")
-    # an edited state can keep its shape yet change the result (a forged violation)
-    body = memoryview(raw)[raw.find(_STATE_KEY) + len(_STATE_KEY):-len(b"}\n")]
-    if hashlib.sha256(body).hexdigest() != doc.get("state_sha256"):
-        raise CheckpointError(f"checkpoint {path} has a malformed state (digest mismatch)")
-    return last_n, state
+    empty_fn = _TASKS[task][2]
+    empty, state, chunks, ends = empty_fn(), empty_fn(), 0, iter(chunk_ends)
+    for chunks, line in enumerate(lines, 1):
+        where = f"checkpoint {path} line {chunks + 1}"
+        prefix, key, body = line[:-1].partition(_FRAGMENT_KEY)
+        try:
+            doc, fragment = json.loads(prefix + b"}"), json.loads(body)
+        except ValueError:
+            doc = fragment = None
+        # type(), not isinstance(): JSON true would pass as the int 1
+        if not (key and line.endswith(b"}") and type(doc) is dict
+                and doc.keys() == {"last_n", "sha256"} and type(doc["last_n"]) is int
+                and _same_shape(fragment, empty)):
+            raise CheckpointError(f"{where} has a malformed last_n or fragment")
+        # an edited fragment can keep its shape yet change the result (a forged violation)
+        if hashlib.sha256(body).hexdigest() != doc["sha256"]:
+            raise CheckpointError(f"{where} has a malformed fragment (digest mismatch)")
+        expected = next(ends, None)  # a duplicated, skipped or reordered line misses it
+        if doc["last_n"] != expected:
+            raise CheckpointError(f"{where} ends chunk {chunks} at n={doc['last_n']}, "
+                                  f"not at n={expected}: its chunks are out of order")
+        state = merge_fragments(state, fragment)
+    if whole < len(raw):
+        os.truncate(path, whole)
+    return chunks, state
 
 
 def _same_shape(state, empty):
@@ -131,23 +173,16 @@ def run_scan(task, lo, hi, *, workers=1, chunk_size=CHUNK_SIZE_DEFAULT,
     _, merge_fn, empty_fn = _TASKS[task]
     digest = config_digest(task, lo, hi, chunk_size)
 
-    state = empty_fn()
-    start = lo
-    if checkpoint and os.path.exists(checkpoint):
-        last_n, state = load_checkpoint(checkpoint, task, digest)
-        on_boundary = last_n == hi or (last_n - lo + 1) % chunk_size == 0
-        if not (lo - 1 <= last_n <= hi and on_boundary):
-            raise CheckpointError(f"checkpoint {checkpoint} has last_n={last_n} off any chunk boundary")
-        start = last_n + 1
-        if start > hi:
-            return state
-
-    # chunk starts as a range, sliced and counted without listing a chunk
-    starts = range(start, hi + 1, chunk_size)
-    todo = starts if max_chunks is None else starts[:max_chunks]
-
     def end(a):
         return min(a + chunk_size - 1, hi)
+
+    # chunk starts as a range, sliced and counted without listing a chunk
+    starts = range(lo, hi + 1, chunk_size)
+    done, state = 0, empty_fn()
+    if checkpoint and os.path.exists(checkpoint):
+        done, state = load_checkpoint(checkpoint, task, digest, map(end, starts))
+    left = starts[done:]  # empty when a resumed scan had finished: it still cleans up
+    todo = left if max_chunks is None else left[:max_chunks]
 
     jobs = ((task, a, end(a)) for a in todo)
     parallel = workers > 1 and len(todo) > 1
@@ -156,9 +191,9 @@ def run_scan(task, lo, hi, *, workers=1, chunk_size=CHUNK_SIZE_DEFAULT,
         for a, frag in zip(todo, frags):
             state = merge_fn(state, frag)
             if checkpoint:
-                save_checkpoint(checkpoint, task, digest, end(a), state)
+                save_checkpoint(checkpoint, task, digest, end(a), frag)
 
-    if len(todo) < len(starts):
+    if len(todo) < len(left):
         raise ScanInterrupted(checkpoint, end(todo[-1]))
     if checkpoint and os.path.exists(checkpoint):
         os.remove(checkpoint)

@@ -1,4 +1,5 @@
 import json
+import os
 import tracemalloc
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from divrank import (
     scan_range,
 )
 from divrank.classify import GkTable
-from divrank.scanner import load_checkpoint, run_scan, save_checkpoint
+from divrank.scanner import config_digest, load_checkpoint, run_scan, save_checkpoint
 
 # the published 23-element prefix of the index ratio numbers
 IRN_PREFIX_32 = [1, 2, 3, 5, 6, 7, 8, 10, 11, 13, 14, 15, 17, 18, 19, 21, 22,
@@ -213,9 +214,10 @@ class TestCheckpoint:
         path = tmp_path / "ck.json"
         save_checkpoint(path, "gk", "abc123", 64, {"classes": {"2": [2, 6], "9/5": [12]}})
         first = path.read_bytes()
-        last_n, state = load_checkpoint(path, "gk", "abc123")
-        save_checkpoint(path, "gk", "abc123", last_n, state)
-        assert path.read_bytes() == first
+        chunks, state = load_checkpoint(path, "gk", "abc123", [64])
+        path.unlink()
+        save_checkpoint(path, "gk", "abc123", 64, state)
+        assert (chunks, path.read_bytes()) == (1, first)
 
     def test_config_mismatch_rejected(self, tmp_path):
         path = tmp_path / "ck.json"
@@ -252,12 +254,50 @@ class TestCheckpoint:
     def test_checkpoint_is_json_with_version(self, tmp_path):
         path = tmp_path / "scan.ck"
         with pytest.raises(ScanInterrupted):
-            scan_range(1, 2000, chunk_size=256, checkpoint=str(path), max_chunks=1)
-        doc = json.loads(path.read_text())
-        assert doc["version"] == 3
-        assert doc["task"] == "gk"
-        assert doc["last_n"] == 256
-        assert "config_hash" in doc and "state" in doc
+            scan_range(1, 2000, chunk_size=256, checkpoint=str(path), max_chunks=2)
+        head, *chunks = map(json.loads, path.read_text().splitlines())
+        assert head == {"version": 4, "task": "gk",
+                        "config_hash": config_digest("gk", 1, 2000, 256)}
+        assert [chunk["last_n"] for chunk in chunks] == [256, 512]
+        assert all(list(chunk) == ["last_n", "sha256", "fragment"] for chunk in chunks)
+
+    @pytest.mark.parametrize("edit", [
+        lambda head, lines: [head, *lines, lines[-1]],
+        lambda head, lines: [head, lines[0], lines[2]],
+        lambda head, lines: [head, lines[1], lines[0], lines[2]],
+    ], ids=["duplicated", "skipped", "reordered"])
+    def test_chunk_lines_out_of_order_rejected(self, tmp_path, edit):
+        path = tmp_path / "scan.ck"
+        with pytest.raises(ScanInterrupted):
+            scan_range(1, 2000, chunk_size=256, checkpoint=str(path), max_chunks=3)
+        head, *lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(edit(head, lines)))
+        with pytest.raises(CheckpointError, match="out of order"):
+            scan_range(1, 2000, chunk_size=256, checkpoint=str(path))
+
+    def test_complete_line_with_bad_digest_rejected_not_dropped(self, tmp_path):
+        path = tmp_path / "scan.ck"
+        with pytest.raises(ScanInterrupted):
+            scan_range(1, 2000, chunk_size=256, checkpoint=str(path), max_chunks=2)
+        head, first, last = path.read_bytes().splitlines(keepends=True)
+        doc = json.loads(last)
+        doc["sha256"] = "0" * 64
+        edited = head + first + json.dumps(doc, separators=(",", ":")).encode() + b"\n"
+        path.write_bytes(edited)
+        with pytest.raises(CheckpointError, match="digest mismatch"):
+            scan_range(1, 2000, chunk_size=256, checkpoint=str(path))
+        assert path.read_bytes() == edited  # only an unterminated line counts as torn
+
+    def test_resume_of_a_finished_scan_removes_its_checkpoint(self, tmp_path, monkeypatch):
+        # a run killed between its last save and the removal leaves a finished log
+        path = tmp_path / "scan.ck"
+        with monkeypatch.context() as m:
+            m.setattr(os, "remove", lambda _: None)
+            straight = scan_range(1, 2000, chunk_size=256, checkpoint=str(path))
+        assert path.exists()
+        resumed = scan_range(1, 2000, chunk_size=256, checkpoint=str(path))
+        assert not path.exists()
+        assert list(resumed.classes.items()) == list(straight.classes.items())
 
     def test_max_chunks_requires_checkpoint(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,19 @@
 import hashlib
 import json
+import os
+import signal
+import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 from divrank import cli, core, scanner
+from divrank.classify import GkTable
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +111,61 @@ class TestTable:
                                "--k", "18/10")
         assert code == 0
         assert out.splitlines()[1].startswith("9/5,")
+
+
+def indent2_table(table, filters=()):
+    """render_table's json bytes as json.dumps(indent=2) prints the payload."""
+    rows = [(k, table.classes.get(k, [])) for k in filters] if filters else table.classes.items()
+    return json.dumps({
+        "kind": "table", "lo": table.lo, "hi": table.hi,
+        "classes": [{"k": k, "count": len(members), "first_members": members[:8],
+                     "last_members": members[-8:]} for k, members in rows],
+    }, indent=2) + "\n"
+
+
+# keys as _class_key prints them, with and without "/"
+CLASS_KEYS = st.builds(lambda num, den: f"{num}/{den}" if den > 1 else str(num),
+                       st.integers(0, 10**6), st.integers(1, 10**3))
+# one member, exactly the first eight, one past them, two full windows, and beyond
+MEMBER_COUNTS = st.sampled_from([1, 8, 9, 16]) | st.integers(17, 40)
+
+
+@st.composite
+def gk_tables(draw):
+    classes = {}
+    for k in draw(st.lists(CLASS_KEYS, min_size=1, max_size=6, unique=True)):
+        count = draw(MEMBER_COUNTS)
+        classes[k] = sorted(draw(st.lists(st.integers(1, 10**12), min_size=count,
+                                          max_size=count, unique=True)))
+    return GkTable(1, 10**12, classes)
+
+
+class TestTableJsonTemplate:
+    @given(gk_tables())
+    def test_matches_indent2(self, table):
+        assert cli.render_table(table, (), "json") == indent2_table(table)
+
+    def test_filter_names_an_absent_class(self):
+        table = GkTable(1, 10, {"2": [2, 6, 8, 10], "2/5": [4]})
+        filters = ["2", "7109/15862", "2/5"]
+        out = cli.render_table(table, filters, "json")
+        assert out == indent2_table(table, filters)
+        assert '"first_members": [],' in out
+
+    def test_single_class(self):
+        table = GkTable(1, 1, {"0": [1]})
+        assert cli.render_table(table, (), "json") == indent2_table(table)
+
+    def test_no_classes(self):
+        table = GkTable(1, 0, {})
+        assert cli.render_table(table, (), "json") == indent2_table(table)
+        assert '"classes": []' in indent2_table(table)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_returns_one_str(self, fmt):
+        # perfbench/traced_cli.py takes len(result.encode()) of every render_* result
+        table = GkTable(1, 10, {"2": [2, 6, 8, 10], "2/5": [4]})
+        assert type(cli.render_table(table, (), fmt)) is str
 
 
 class TestVerifyAndScan:
@@ -264,15 +326,15 @@ class TestOutAndDeterminism:
     @pytest.mark.parametrize("command,mutate", [
         (TABLE, lambda doc: doc.update(last_n="512")),
         (TABLE, lambda doc: doc.update(last_n=None)),
-        (TABLE, lambda doc: doc.update(state=[])),
-        (TABLE, lambda doc: doc["state"].pop("classes")),
-        (TABLE, lambda doc: doc["state"].update(members=[])),
-        (TABLE, lambda doc: doc["state"]["classes"].update({"2": 7})),
-        (UPPER_BOUND, lambda doc: doc["state"].update(violations=5)),
-        (UPPER_BOUND, lambda doc: doc["state"].update(applicable=True)),
-        # well-shaped edits that change the result: only the state digest catches them
-        (UPPER_BOUND, lambda doc: doc["state"].update(violations=[5])),
-        (TABLE, lambda doc: next(iter(doc["state"]["classes"].values())).append("x")),
+        (TABLE, lambda doc: doc.update(fragment=[])),
+        (TABLE, lambda doc: doc["fragment"].pop("classes")),
+        (TABLE, lambda doc: doc["fragment"].update(members=[])),
+        (TABLE, lambda doc: doc["fragment"]["classes"].update({"2": 7})),
+        (UPPER_BOUND, lambda doc: doc["fragment"].update(violations=5)),
+        (UPPER_BOUND, lambda doc: doc["fragment"].update(applicable=True)),
+        # well-shaped edits that change the result: only the fragment digest catches them
+        (UPPER_BOUND, lambda doc: doc["fragment"].update(violations=[5])),
+        (TABLE, lambda doc: next(iter(doc["fragment"]["classes"].values())).append("x")),
     ], ids=["last_n-string", "last_n-null", "state-list", "state-missing-field",
             "state-extra-field", "state-class-int", "state-violations-int",
             "state-applicable-bool", "state-forged-violation", "state-class-extra-member"])
@@ -280,28 +342,90 @@ class TestOutAndDeterminism:
         ck = tmp_path / "t.ck"
         argv = [*command, "--max", "2000", "--chunk-size", "512", "--checkpoint", str(ck)]
         run_cli(capsys, *argv, "--max-chunks", "1")
-        doc = json.loads(ck.read_text())
-        mutate(doc)
-        ck.write_text(json.dumps(doc))
+        head, line = ck.read_bytes().splitlines()
+        doc = json.loads(line)
+        mutate(doc)  # on the fragment line, written back as the log writes it
+        ck.write_bytes(head + b"\n" + json.dumps(doc, separators=(",", ":")).encode() + b"\n")
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert "malformed" in err
-
 
     def test_version_2_checkpoint_exits_2(self, capsys, tmp_path, monkeypatch):
         # version 2 keyed an integer class "2/1"; resuming it would mix two key forms
         ck = tmp_path / "t.ck"
         argv = [*TABLE, "--max", "2000", "--chunk-size", "512", "--checkpoint", str(ck)]
         run_cli(capsys, *argv, "--max-chunks", "1")
-        doc = json.loads(ck.read_text())
-        classes = {k if "/" in k else f"{k}/1": v for k, v in doc["state"]["classes"].items()}
+        head, line = map(json.loads, ck.read_text().splitlines())
+        classes = {k if "/" in k else f"{k}/1": v for k, v in line["fragment"]["classes"].items()}
+        ck.unlink()
         with monkeypatch.context() as m:
             m.setattr(scanner, "CHECKPOINT_VERSION", 2)
-            scanner.save_checkpoint(ck, "gk", doc["config_hash"], doc["last_n"],
+            scanner.save_checkpoint(ck, "gk", head["config_hash"], line["last_n"],
                                     {"classes": classes})
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert "unsupported checkpoint version" in err
+
+    def test_version_3_checkpoint_exits_2(self, capsys, tmp_path):
+        # version 3 was one object holding the whole state, rewritten after every chunk
+        ck = tmp_path / "t.ck"
+        argv = [*TABLE, "--max", "2000", "--chunk-size", "512", "--checkpoint", str(ck)]
+        run_cli(capsys, *argv, "--max-chunks", "1")
+        head, line = map(json.loads, ck.read_text().splitlines())
+        state = json.dumps(line["fragment"], separators=(",", ":"))
+        doc = json.dumps({**head, "version": 3, "last_n": line["last_n"],
+                          "state_sha256": hashlib.sha256(state.encode()).hexdigest()},
+                         separators=(",", ":"))
+        ck.write_text(f'{doc[:-1]},"state":{state}}}\n')
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "unsupported checkpoint version" in err
+
+    def test_kill_mid_append_loses_one_chunk(self, capsys, tmp_path, monkeypatch):
+        ck = tmp_path / "t.ck"
+        argv = [*TABLE, "--max", "20000", "--chunk-size", "1024", "--checkpoint", str(ck)]
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", TEAR_THIRD_APPEND, *argv], env=env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        torn = ck.read_bytes()
+        whole = torn.rfind(b"\n") + 1
+        assert [json.loads(line)["last_n"] for line in torn[:whole].splitlines()[1:]] == [1024, 2048]
+        assert 0 < len(torn) - whole
+
+        ran = []
+        chunk_fn, merge_fn, empty_fn = scanner._TASKS["gk"]
+        monkeypatch.setitem(scanner._TASKS, "gk", (
+            lambda lo, hi: ran.append(lo) or chunk_fn(lo, hi), merge_fn, empty_fn))
+        code, _, _ = run_cli(capsys, *argv, "--max-chunks", "1")
+        assert code == 0 and ran == [2049]  # the torn chunk, recomputed
+        log = ck.read_bytes()
+        assert log[:whole] == torn[:whole]  # cut at its last newline, then appended to
+        assert json.loads(log[whole:])["last_n"] == 3072 and log.endswith(b"\n")
+        code, resumed, _ = run_cli(capsys, *argv)
+        assert code == 0 and ran[:2] == [2049, 3073] and not ck.exists()
+        assert resumed == run_cli(capsys, *TABLE, "--max", "20000")[1]
+
+
+# test-only hook: the third checkpoint append writes half its line, then the
+# process SIGKILLs itself, as a kill in the middle of a write would leave it
+TEAR_THIRD_APPEND = """
+import os, signal, sys
+from divrank import cli, scanner
+appends = []
+def save_checkpoint(path, task, config_hash, last_n, fragment):
+    appends.append(last_n)
+    if len(appends) < 3:
+        return save(path, task, config_hash, last_n, fragment)
+    line = scanner._chunk_line(last_n, fragment)
+    with open(path, "ab") as fh:
+        fh.write(line[:len(line) // 2])
+    os.kill(os.getpid(), signal.SIGKILL)
+save, scanner.save_checkpoint = scanner.save_checkpoint, save_checkpoint
+sys.exit(cli.main(sys.argv[1:]))
+"""
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 UNCHUNKED = ["multiplier", "prime-power-distinct", "unit-fraction"]
