@@ -16,6 +16,7 @@ import numpy as np
 from .core import (
     RangeOverlapError,
     _rank_row,
+    block_rows,
     divisor_list_of,
     parse_rational,
     rank_blocks,
@@ -63,8 +64,7 @@ def _irn_chunk(lo, hi):
     `irn` prints, so it never walks the kernel twice."""
     rows = []
     for n, tau, d2, se, so, paired in rank_blocks(lo, hi):
-        at = np.flatnonzero(se % so == 0)  # so >= 1
-        rows += zip(*(column[at].tolist() for column in (n, tau, se, so)))
+        rows += block_rows((n, tau, se, so), np.flatnonzero(se % so == 0))  # so >= 1
     return {"rows": rows}
 
 

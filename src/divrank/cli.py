@@ -21,7 +21,7 @@ import os
 import sys
 
 from .classify import _class_key, scan_range
-from .core import CheckpointError, ScanInterrupted, format_rational, parse_rational
+from .core import CheckpointError, ScanInterrupted, parse_rational
 from .scanner import _TASKS, CHUNK_SIZE_DEFAULT, run_scan
 from .sigma import profile
 from .theorems import (
@@ -171,6 +171,7 @@ def _bool_str(flag):
 
 
 def render_profile(prof, fmt):
+    k = _class_key(prof.sigma_e, prof.sigma_o)
     if fmt == "json":
         return _json_text({
             "kind": "profile",
@@ -178,13 +179,13 @@ def render_profile(prof, fmt):
             "tau": prof.tau,
             "sigma_e": prof.sigma_e,
             "sigma_o": prof.sigma_o,
-            "k": format_rational(prof.k),
+            "k": k,
             "is_index_ratio": prof.is_index_ratio,
             "divisors": list(prof.divisors),
         })
     if fmt == "csv":
         row = (prof.n, prof.tau, prof.sigma_e, prof.sigma_o,
-               format_rational(prof.k), _bool_str(prof.is_index_ratio))
+               k, _bool_str(prof.is_index_ratio))
         return _csv_text([row], CSV_PROFILE_COLUMNS)
     lines = [
         f"n = {prof.n}",
@@ -192,7 +193,7 @@ def render_profile(prof, fmt):
         f"tau = {prof.tau}",
         f"sigma_e = {prof.sigma_e}",
         f"sigma_o = {prof.sigma_o}",
-        f"k = {format_rational(prof.k)}",
+        f"k = {k}",
         f"index ratio number = {'yes' if prof.is_index_ratio else 'no'}",
     ]
     return "\n".join(lines) + "\n"

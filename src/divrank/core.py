@@ -184,12 +184,19 @@ def rank_blocks(lo, hi):
         yield _block_rank_sums(a, min(a + width - 1, hi))
 
 
+def block_rows(block, at=None):
+    """The rows of one rank_blocks block (or of some of its columns) at the indices
+    `at`, or every row when `at` is None, as tuples of Python ints and a bool."""
+    count = len(block[0]) if at is None else len(at)
+    for i in range(0, count, _BLOCK):  # bounds the int lists of a wide block
+        part = slice(i, i + _BLOCK) if at is None else at[i : i + _BLOCK]
+        yield from zip(*(column[part].tolist() for column in block))
+
+
 def rank_sums(lo, hi):
-    """The rank_blocks rows of each n in [lo, hi], as tuples of Python ints and a bool:
-    the G_k scan's view of the kernel."""
+    """The rank_blocks rows of each n in [lo, hi], in order, through block_rows."""
     for block in rank_blocks(lo, hi):
-        for i in range(0, len(block[0]), _BLOCK):  # bounds the int lists of a wide block
-            yield from zip(*(column[i : i + _BLOCK].tolist() for column in block))
+        yield from block_rows(block)
 
 
 def _rank_row(divs):
@@ -314,8 +321,3 @@ def parse_rational(text: str) -> Fraction:
     num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) else 1
     return rational_of(num, den)
-
-
-def format_rational(q: Fraction) -> str:
-    """Canonical "num/den" rendering, "/den" elided when den = 1."""
-    return str(q)

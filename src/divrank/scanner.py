@@ -168,6 +168,8 @@ def run_scan(task, lo, hi, *, workers=1, chunk_size=CHUNK_SIZE_DEFAULT,
         raise ValueError(f"range scans cover n < {KERNEL_BOUND}, got hi = {hi}")
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
+    if max_chunks is not None and max_chunks < 1:
+        raise ValueError("max_chunks must be >= 1")
     if max_chunks is not None and not checkpoint:
         raise ValueError("max_chunks requires a checkpoint path to resume from")
     _, merge_fn, empty_fn = _TASKS[task]

@@ -25,6 +25,7 @@ from .core import (
     HypothesisViolation,
     Inapplicable,
     _rank_row,
+    block_rows,
     divisor_list_of,
     is_prime,
     next_prime_above,
@@ -40,6 +41,8 @@ BOUNDED_EVIDENCE = (
 )
 
 PAIRING_TAU_CAP = 8  # the pairing theorem covers tau(n) <= 8
+
+_MULTIPLIER_EXPONENTS = (1, 2, 3)  # the a of each sample's n p^a
 
 
 @dataclass
@@ -113,10 +116,9 @@ _CHAIN_CLAUSES = ("sigma_e_lower", "sigma_e_upper", "reciprocal_lower", "recipro
 _TAU_CLAUSES = {2: ("prime_case",), 4: ("tau4_bullet",), 6: ("tau6_bullet",)}
 
 
-def _sigma_bounds_holds(n, tau, se, so):
-    """The bound chain at a non-square n, each clause cross-multiplied, in the
-    order of _CHAIN_CLAUSES and then _TAU_CLAUSES[tau]. A tuple, not a dict:
-    range scans test every n and build the dict only when a clause fails.
+def _sigma_bounds_clauses(n, tau, se, so):
+    """The bound chain at a non-square n, clause name -> holds, each clause
+    cross-multiplied: _CHAIN_CLAUSES and then _TAU_CLAUSES[tau].
 
     Exact for the Fraction statement: so = n sigma_{e,-1}, because with tau
     even n/d_i = d_{tau+1-i} maps even ranks onto odd ones.
@@ -124,26 +126,21 @@ def _sigma_bounds_holds(n, tau, se, so):
     low = tau - 2 + n  # sigma_e >= low
     high4 = (tau + 2) * n  # 4 sigma_e <= high4
     rec4 = (tau - 2) * n + 4  # 1/sigma_{e,-1} >= 4n/rec4
-    holds = (
+    holds = [
         low <= se,  # sigma_e_lower
         4 * se <= high4,  # sigma_e_upper
         4 * so <= rec4,  # reciprocal_lower
         so >= tau - 1,  # reciprocal_upper
         4 * low * so <= rec4 * se,  # combined_lower
         4 * (tau - 1) * se <= high4 * so,  # combined_upper
-    )
+    ]
     if tau == 2:  # prime_case: k = n
-        return holds + (se == n * so,)
-    if tau == 4:  # tau4_bullet: 2 <= k <= n/4
-        return holds + (2 * so <= se and 4 * se <= n * so,)
-    if tau == 6:  # tau6_bullet: (n+4)/(n+1) <= k <= 2n/5
-        return holds + ((n + 4) * so <= (n + 1) * se and 5 * se <= 2 * n * so,)
-    return holds
-
-
-def _sigma_bounds_clauses(n, tau, se, so):
-    names = _CHAIN_CLAUSES + _TAU_CLAUSES.get(tau, ())
-    return dict(zip(names, _sigma_bounds_holds(n, tau, se, so)))
+        holds.append(se == n * so)
+    elif tau == 4:  # tau4_bullet: 2 <= k <= n/4
+        holds.append(2 * so <= se and 4 * se <= n * so)
+    elif tau == 6:  # tau6_bullet: (n+4)/(n+1) <= k <= 2n/5
+        holds.append((n + 4) * so <= (n + 1) * se and 5 * se <= 2 * n * so)
+    return dict(zip(_CHAIN_CLAUSES + _TAU_CLAUSES.get(tau, ()), holds))
 
 
 def check_upper_bound(n: int) -> bool:
@@ -343,18 +340,14 @@ def _dense_check(name, masks, check_row, empty=_TALLY):
     (counted, suspect) = masks(*block), its chunk adds the rows `counted` flags to
     `applicable` and passes each row `suspect` flags to check_row(fragment, *row), in
     Python ints."""
-    def flagged(block):
-        counted, suspect = masks(*block)
-        at = np.flatnonzero(suspect)
-        return int(np.count_nonzero(counted)), zip(*(column[at].tolist() for column in block))
-
     def chunk(lo, hi):
         fragment = copy.deepcopy(empty)
-        # map drops each block before the next one is walked
-        for count, rows in map(flagged, rank_blocks(max(lo, 2), hi)):
-            fragment["applicable"] += count
-            for row in rows:
+        for block in rank_blocks(max(lo, 2), hi):
+            counted, suspect = masks(*block)
+            fragment["applicable"] += int(np.count_nonzero(counted))
+            for row in block_rows(block, np.flatnonzero(suspect)):
                 check_row(fragment, *row)
+            del block, counted, suspect  # before rank_blocks walks the next: never hold two
         return fragment
 
     register_task(name, chunk, empty)
@@ -369,7 +362,7 @@ def _upper_bound_masks(n, tau, d2, se, so, paired):
 
 
 def _sigma_bounds_masks(n, tau, d2, se, so, paired):
-    """The non-squares, and those where a clause of _sigma_bounds_holds is false."""
+    """The non-squares, and those where a clause of _sigma_bounds_clauses is false."""
     non_square = tau % 2 == 0
     fails = _chain_fails(n, tau, se, so) | _tau_clause_fails(n, tau, se, so)
     return non_square, non_square & fails
@@ -428,8 +421,6 @@ def _upper_bound_row(fragment, n, tau, d2, se, so, paired):
 
 
 def _sigma_bounds_row(fragment, n, tau, d2, se, so, paired):
-    if all(_sigma_bounds_holds(n, tau, se, so)):
-        return
     clauses = _sigma_bounds_clauses(n, tau, se, so)
     bad = [name for name, ok in clauses.items() if not ok and name != "tau4_bullet"]
     if bad:
@@ -600,8 +591,7 @@ def scan_conjecture3(limit: int, **flags) -> ScanReport:
     )
 
 
-def scan_multiplier(n_max: int = 1000, samples: int = 500, exponents=(1, 2, 3),
-                    seed: int = 2) -> ScanReport:
+def scan_multiplier(n_max: int = 1000, samples: int = 500, seed: int = 2) -> ScanReport:
     """Seeded random-sample check that k(n p^a) = k(n) for the first prime p > n."""
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
@@ -613,7 +603,7 @@ def scan_multiplier(n_max: int = 1000, samples: int = 500, exponents=(1, 2, 3),
         while is_perfect_square(n):  # identity is stated for tau(n) even
             n = rng.randint(2, n_max)
         p = next_prime_above(n)
-        a = rng.choice(exponents)
+        a = rng.choice(_MULTIPLIER_EXPONENTS)
         k = k_ratio(n)
         k2 = k_ratio(n * p**a)
         if k2 != k:
@@ -623,7 +613,7 @@ def scan_multiplier(n_max: int = 1000, samples: int = 500, exponents=(1, 2, 3),
                 "actual": str(k2),
             })
     return _finish("multiplier", 2, n_max, violations, samples, t0,
-                   samples=samples, exponents=list(exponents), seed=seed)
+                   samples=samples, exponents=list(_MULTIPLIER_EXPONENTS), seed=seed)
 
 
 def _even_prime_powers(limit):

@@ -12,14 +12,13 @@ from divrank import (
     RangeOverlapError,
     ScanInterrupted,
     enumerate_index_ratio,
-    format_rational,
     is_index_ratio,
     k_ratio,
     members_of_k,
     merge_tables,
     scan_range,
 )
-from divrank.classify import GkTable
+from divrank.classify import GkTable, _class_key
 from divrank.scanner import config_digest, load_checkpoint, run_scan, save_checkpoint
 
 # the published 23-element prefix of the index ratio numbers
@@ -74,7 +73,8 @@ class TestScanRange:
         table = scan_range(1, 10_000)
         for k, members in table.classes.items():
             for n in members:
-                assert format_rational(k_ratio(n)) == k
+                q = k_ratio(n)
+                assert _class_key(q.numerator, q.denominator) == k
 
     def test_worker_count_invariance(self):
         base = scan_range(1, 20_000, chunk_size=4096)
@@ -218,6 +218,13 @@ class TestCheckpoint:
         path.unlink()
         save_checkpoint(path, "gk", "abc123", 64, state)
         assert (chunks, path.read_bytes()) == (1, first)
+
+    @pytest.mark.parametrize("max_chunks", [0, -1])
+    def test_no_chunk_budget_rejected_before_the_checkpoint(self, tmp_path, max_chunks):
+        path = tmp_path / "scan.ck"
+        with pytest.raises(ValueError, match="max_chunks must be >= 1"):
+            scan_range(1, 2000, checkpoint=str(path), max_chunks=max_chunks)
+        assert not path.exists()
 
     def test_config_mismatch_rejected(self, tmp_path):
         path = tmp_path / "ck.json"

@@ -1,6 +1,8 @@
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,12 +12,12 @@ from divrank import (
     Factorization,
     divisors_sorted,
     factorize,
-    format_rational,
     is_prime,
     parse_rational,
     rational_of,
 )
 from divrank import core, theorems
+from divrank.classify import _class_key
 from divrank.core import rank_sums
 from conftest import ORACLE_LIMIT, oracle_divisors, oracle_factorize
 
@@ -141,6 +143,24 @@ def _kernel(ns):
 windows = st.integers(min_value=1, max_value=ORACLE_LIMIT).flatmap(
     lambda lo: st.tuples(st.just(lo), st.integers(min_value=lo, max_value=ORACLE_LIMIT)))
 
+# the first kernel block of [5e6, 5.04e6] is 16 isqrt(5.04e6) = 35,904 n wide
+WIDE_LO, WIDE = 5_000_000, 35_904
+
+
+@cache
+def _wide_block():
+    """That block, and the row of each of its n by trial division."""
+    block = next(core.rank_blocks(WIDE_LO, WIDE_LO + 40_000))
+    return block, [core._rank_row(core.divisor_list_of(n)) for n in range(WIDE_LO, WIDE_LO + WIDE)]
+
+
+wide_indices = st.sets(st.integers(min_value=0, max_value=WIDE - 1), max_size=3000)
+index_subsets = st.one_of(
+    wide_indices.map(sorted),
+    # more than _BLOCK indices, so that the conversion crosses its seam
+    wide_indices.map(lambda drop: sorted(set(range(WIDE)) - drop)),
+)
+
 
 class TestRankSums:
     @given(st.integers(min_value=1, max_value=ORACLE_LIMIT),
@@ -213,6 +233,20 @@ class TestRankSums:
             expected.append((n, len(d), d[1], sum(d[1::2]), sum(d[0::2]), _oracle_pairing(d)))
         assert list(rank_sums(ns[0], ns[-1])) == expected
 
+    @given(index_subsets)
+    @settings(max_examples=40, deadline=None)
+    def test_block_rows_at_sorted_indices(self, at):
+        block, expected = _wide_block()
+        assert list(core.block_rows(block, np.array(at, dtype=np.intp))) == [
+            expected[i] for i in at]
+
+    def test_block_rows_every_row_in_order(self):
+        block, expected = _wide_block()
+        assert len(block[0]) == WIDE > core._BLOCK
+        rows = list(core.block_rows(block))
+        assert rows == expected
+        assert {tuple(map(type, row)) for row in rows} == {(int,) * 5 + (bool,)}
+
     def test_refuses_n_beyond_int32(self):
         with pytest.raises(ValueError):
             list(rank_sums(2**31 - 2, 2**31))
@@ -228,18 +262,18 @@ class TestRankSums:
 class TestRational:
     def test_reduces(self):
         assert rational_of(18, 10) == Fraction(9, 5)
-        assert format_rational(rational_of(18, 10)) == "9/5"
+        assert _class_key(18, 10) == "9/5"
 
     def test_zero(self):
         q = rational_of(0, 7)
         assert (q.numerator, q.denominator) == (0, 1)
-        assert format_rational(q) == "0"
+        assert _class_key(q.numerator, q.denominator) == "0"
 
     def test_already_reduced(self):
-        assert format_rational(rational_of(33, 58)) == "33/58"
+        assert _class_key(33, 58) == "33/58"
 
     def test_integer_display_drops_denominator(self):
-        assert format_rational(rational_of(4, 2)) == "2"
+        assert _class_key(4, 2) == "2"
 
     def test_rejects_zero_denominator(self):
         with pytest.raises(ValueError):
@@ -265,4 +299,4 @@ class TestRational:
     @settings(max_examples=200, deadline=None)
     def test_parse_render_round_trip(self, num, den):
         q = rational_of(num, den)
-        assert parse_rational(format_rational(q)) == q
+        assert parse_rational(_class_key(num, den)) == q

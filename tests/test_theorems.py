@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import weakref
 from fractions import Fraction
 from functools import partial
 from math import isqrt
@@ -573,7 +574,7 @@ def _python_masks(n, tau, d2, se, so, paired):
         "upper-bound": (non_square,
                         non_square and not theorems._upper_bound_holds(d2, se, so)),
         "sigma-bounds": (non_square,
-                         non_square and not all(theorems._sigma_bounds_holds(n, tau, se, so))),
+                         non_square and not all(_sigma_bounds_clauses(n, tau, se, so).values())),
         "conjecture-1": (rest == 0, rest == 0 and (
             k != d2 or (n % 2 == 0 and k != 2)
             or (n % 2 == 1 and tau % 4 == 2 and n % 3 == 0 and k != 3))),
@@ -651,6 +652,23 @@ class TestDenseMasks:
             "upper-bound": 0, "sigma-bounds": 0, "conjecture-1": 3, "conjecture-2": 3,
             "pairing": 0}
 
+    @pytest.mark.parametrize("name", DENSE_CHECKS)
+    def test_each_block_is_dropped_before_the_next_is_walked(self, monkeypatch, name):
+        # dense-verify's peak RSS counts on never holding two blocks at once
+        walked = []
+
+        def rank_blocks_watched(lo, hi):
+            refs = []
+            for block in rank_blocks(lo, hi):  # rebinding drops this loop's hold on the last
+                assert all(ref() is None for ref in refs), f"block {len(walked)} is still held"
+                refs = [weakref.ref(column) for column in block]
+                walked.append(block[0][0])
+                yield block
+
+        monkeypatch.setattr(theorems, "rank_blocks", rank_blocks_watched)
+        _TASKS[name][0](1, 3 * core._BLOCK)
+        assert walked == [2, 2 + core._BLOCK, 2 + 2 * core._BLOCK]
+
     @pytest.mark.parametrize("n, tau", [(1396755360, 1536), (2095133040, 1600)])
     def test_highly_composite_n_near_the_bound(self, n, tau):
         # tau and sigma(n)/n (5.24 and 5.20 here) near their largest below 2^31: the
@@ -694,9 +712,10 @@ class TestDenseMasks:
             se = se_range[clause.endswith("upper")] + nudge
         else:
             so = max(1, so_range[clause.endswith("lower")] + nudge)
-        holds = theorems._sigma_bounds_holds(n, tau, se, so)
+        clauses = _sigma_bounds_clauses(n, tau, se, so)
         n_, tau_, se_, so_ = (np.array([value]) for value in (n, tau, se, so))
-        assert theorems._chain_fails(n_, tau_, se_, so_).tolist() == [not all(holds[:6])]
+        assert theorems._chain_fails(n_, tau_, se_, so_).tolist() == [
+            not all(clauses[name] for name in theorems._CHAIN_CLAUSES)]
 
     @given(st.one_of(st.integers(min_value=2, max_value=1000),
                      st.integers(min_value=2, max_value=core.KERNEL_BOUND - 1)),
@@ -710,9 +729,10 @@ class TestDenseMasks:
             m = max(1, m * 2**33 // max(se, so))
             so, se = place(n, m)
         se = max(1, se + nudge)
-        holds = theorems._sigma_bounds_holds(n, tau, se, so)
+        (clause,) = theorems._TAU_CLAUSES[tau]
         n_, tau_, se_, so_ = (np.array([value]) for value in (n, tau, se, so))
-        assert theorems._tau_clause_fails(n_, tau_, se_, so_).tolist() == [not holds[6]]
+        assert theorems._tau_clause_fails(n_, tau_, se_, so_).tolist() == [
+            not _sigma_bounds_clauses(n, tau, se, so)[clause]]
 
     @given(st.integers(min_value=1, max_value=10**12), st.integers(min_value=1, max_value=10**6),
            st.data())
@@ -723,6 +743,6 @@ class TestDenseMasks:
         assume(low <= high4 // 4 and tau - 1 <= rec4 // 4 and rec4 // 4 >= 1)
         se = data.draw(st.integers(min_value=max(low, 1), max_value=high4 // 4))
         so = data.draw(st.integers(min_value=max(tau - 1, 1), max_value=rec4 // 4))
-        holds = theorems._sigma_bounds_holds(n, tau, se, so)
-        assert all(holds[:4])
-        assert holds[4] and holds[5]
+        clauses = _sigma_bounds_clauses(n, tau, se, so)
+        assert all(clauses[name] for name in theorems._CHAIN_CLAUSES[:4])
+        assert clauses["combined_lower"] and clauses["combined_upper"]
