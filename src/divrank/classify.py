@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
 from .core import (
     RangeOverlapError,
     _rank_row,
@@ -64,7 +62,7 @@ def _irn_chunk(lo, hi):
     `irn` prints, so it never walks the kernel twice."""
     rows = []
     for n, tau, d2, se, so, paired in rank_blocks(lo, hi):
-        rows += block_rows((n, tau, se, so), np.flatnonzero(se % so == 0))  # so >= 1
+        rows += block_rows((n, tau, se, so), (se % so == 0).nonzero()[0])  # so >= 1
     return {"rows": rows}
 
 

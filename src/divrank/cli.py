@@ -215,6 +215,14 @@ def _class_json(k, members):
     return _CLASS_JSON % (k, len(members), first, last)
 
 
+# a csv row of one class: its key and space-joined members hold no comma, quote or
+# line break, so csv.writer would quote none of its fields
+def _class_csv(k, members):
+    first = " ".join(map(str, members[:8]))
+    last = first if len(members) <= 8 else " ".join(map(str, members[-8:]))
+    return f"{k},{len(members)},{first},{last}\n"
+
+
 def render_table(table, filters, fmt):
     rows = [(k, table.classes.get(k, [])) for k in filters] if filters else table.classes.items()
     if fmt == "json":  # the bytes _json_text gives the payload, from a per-class template
@@ -222,14 +230,9 @@ def render_table(table, filters, fmt):
         classes = f"[\n{classes}\n  ]" if classes else "[]"
         return (f'{{\n  "kind": "table",\n  "lo": {table.lo},\n  "hi": {table.hi},\n'
                 f'  "classes": {classes}\n}}\n')
-    if fmt == "csv":
-        body = [
-            (k, len(members),
-             " ".join(map(str, members[:8])),
-             " ".join(map(str, members[-8:])))
-            for k, members in rows
-        ]
-        return _csv_text(body, ("k", "count", "first_members", "last_members"))
+    if fmt == "csv":  # the bytes _csv_text gives the rows, from a per-class template
+        classes = "".join([_class_csv(k, members) for k, members in rows])
+        return "k,count,first_members,last_members\n" + classes
     lines = [f"G_k members in [{table.lo}, {table.hi}]"]
     width = max((len(k) for k, _ in rows), default=1)
     for k, members in rows:

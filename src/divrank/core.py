@@ -5,10 +5,14 @@ can never overflow or wrap. The one exception is the block rank-sum kernel,
 `rank_blocks`, which hands out numpy arrays (int64 sums, int32 d_2) and works
 only for n < KERNEL_BOUND = 2**31, where none of its values can outgrow its
 dtype; the dense range checks test those arrays with int64 masks bounded the
-same way. The block range scans sieve what they need per block; single-n
-calls, the squares scans' among them, factor by trial division. Rationals are
-stdlib ``fractions.Fraction``, which is always in canonical reduced form with
-a positive denominator and renders as "num/den" (eliding "/1").
+same way. numpy is imported on the kernel's first block (or by a pooled scan
+before it forks its workers), not with the module, so commands that touch no
+block (profile, and the multiplier, unit-fraction, prime-power-distinct,
+lower-bound and conjecture 3 checks) never load it. The block range scans
+sieve what they need per block; single-n calls, the squares scans' among them,
+factor by trial division. Rationals are stdlib ``fractions.Fraction``, which is
+always in canonical reduced form with a positive denominator and renders as
+"num/den" (eliding "/1").
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-import numpy as np
 
 class Inapplicable(ValueError):
     """Input lies outside the domain a check is stated for."""
@@ -144,9 +147,13 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(factors))
 
 
-# kept only for perfbench's setup_s until ROADMAP item 1 re-points that metric
-def build_spf_sieve(limit: int) -> np.ndarray:
-    """Smallest-prime-factor table for 0 <= m <= `limit` as an int32 array."""
+# kept only for perfbench's setup_s until ROADMAP item 1 re-points that metric;
+# importing divrank loads no numpy, so this import inside the function is what
+# keeps setup_s timing numpy's import together with the sieve
+def build_spf_sieve(limit: int):
+    """Smallest-prime-factor table for 0 <= m <= `limit` as an int32 numpy array."""
+    import numpy as np
+
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
     spf = np.zeros(limit + 1, dtype=np.int32)
@@ -224,6 +231,8 @@ def _block_rank_sums(a, b):
     (tau+1-2j, tau+2-2j) with the same ratio, and the middle pair of
     tau = 2 mod 4 is n = d_2 d_c^2.
     """
+    import numpy as np  # once loaded, a dict lookup per block
+
     if b >= KERNEL_BOUND:
         raise ValueError(f"block kernel covers n < {KERNEL_BOUND}, got {b}")
     # each dtype holds its values for n < 2**31: d_2 <= n and d <= isqrt(n) < 2**16

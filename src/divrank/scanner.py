@@ -13,7 +13,6 @@ import contextlib
 import copy
 import hashlib
 import json
-import multiprocessing
 import os
 
 from .core import KERNEL_BOUND, CheckpointError, ScanInterrupted
@@ -188,6 +187,12 @@ def run_scan(task, lo, hi, *, workers=1, chunk_size=CHUNK_SIZE_DEFAULT,
 
     jobs = ((task, a, end(a)) for a in todo)
     parallel = workers > 1 and len(todo) > 1
+    if parallel:  # only a pooled scan loads these
+        import multiprocessing
+
+        # imported once before the fork, numpy is inherited by every worker: two
+        # workers importing it at once took longer than one import (2-vCPU host)
+        import numpy  # noqa: F401
     with multiprocessing.Pool(workers) if parallel else contextlib.nullcontext() as pool:
         frags = pool.imap(_run_chunk, jobs) if parallel else map(_run_chunk, jobs)
         for a, frag in zip(todo, frags):

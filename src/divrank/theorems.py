@@ -17,8 +17,6 @@ from fractions import Fraction
 from functools import partial
 from math import isqrt
 
-import numpy as np
-
 from .classify import _class_key
 from .core import (
     Factorization,
@@ -344,8 +342,8 @@ def _dense_check(name, masks, check_row, empty=_TALLY):
         fragment = copy.deepcopy(empty)
         for block in rank_blocks(max(lo, 2), hi):
             counted, suspect = masks(*block)
-            fragment["applicable"] += int(np.count_nonzero(counted))
-            for row in block_rows(block, np.flatnonzero(suspect)):
+            fragment["applicable"] += int(counted.sum())
+            for row in block_rows(block, suspect.nonzero()[0]):
                 check_row(fragment, *row)
             del block, counted, suspect  # before rank_blocks walks the next: never hold two
         return fragment
@@ -381,7 +379,7 @@ def _tau_clause_fails(n, tau, se, so):
     """Where the clause _TAU_CLAUSES[tau] of tau = 2, 4, 6 is false. Each compares k
     with an n-sized bound, so it is tested by division."""
     # numerators below 5 * 2**34 + 2**34 < 2**37; gap = se - so when that is positive
-    gap = np.maximum(se - so, 1)
+    gap = (se - so).clip(1)
     return (((tau == 2) & ((se % so != 0) | (se // so != n)))  # se = n so
             | ((tau == 4) & ((2 * so > se) | ((4 * se + so - 1) // so > n)))  # 4 se <= n so
             | ((tau == 6) & ((se <= so)  # (n + 4) so <= (n + 1) se, as 3 so <= (n + 1) gap

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import signal
@@ -166,6 +168,30 @@ class TestTableJsonTemplate:
         # perfbench/traced_cli.py takes len(result.encode()) of every render_* result
         table = GkTable(1, 10, {"2": [2, 6, 8, 10], "2/5": [4]})
         assert type(cli.render_table(table, (), fmt)) is str
+
+
+def csv_writer_table(table, filters=()):
+    """render_table's csv bytes as csv.writer writes the rows."""
+    rows = [(k, table.classes.get(k, [])) for k in filters] if filters else table.classes.items()
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("k", "count", "first_members", "last_members"))
+    writer.writerows((k, len(members), " ".join(map(str, members[:8])),
+                      " ".join(map(str, members[-8:]))) for k, members in rows)
+    return buf.getvalue()
+
+
+class TestTableCsvTemplate:
+    @given(gk_tables(), st.data())
+    def test_matches_csv_writer(self, table, data):
+        # --k filters name classes of the table, or keys it lacks, which render empty
+        filters = data.draw(st.lists(st.sampled_from(sorted(table.classes)) | CLASS_KEYS,
+                                     max_size=6))
+        assert cli.render_table(table, filters, "csv") == csv_writer_table(table, filters)
+
+    def test_no_classes(self):
+        table = GkTable(1, 0, {})
+        assert cli.render_table(table, (), "csv") == csv_writer_table(table)
 
 
 class TestVerifyAndScan:
@@ -384,10 +410,7 @@ class TestOutAndDeterminism:
     def test_kill_mid_append_loses_one_chunk(self, capsys, tmp_path, monkeypatch):
         ck = tmp_path / "t.ck"
         argv = [*TABLE, "--max", "20000", "--chunk-size", "1024", "--checkpoint", str(ck)]
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", TEAR_THIRD_APPEND, *argv], env=env,
-                              capture_output=True, timeout=120)
+        proc = run_fresh(TEAR_THIRD_APPEND, *argv)
         assert proc.returncode == -signal.SIGKILL, proc.stderr
         torn = ck.read_bytes()
         whole = torn.rfind(b"\n") + 1
@@ -426,6 +449,14 @@ save, scanner.save_checkpoint = scanner.save_checkpoint, save_checkpoint
 sys.exit(cli.main(sys.argv[1:]))
 """
 SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def run_fresh(script, *argv, text=False):
+    """`script` run with `argv` by a fresh interpreter that imports divrank from SRC."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=text, timeout=120)
 
 
 UNCHUNKED = ["multiplier", "prime-power-distinct", "unit-fraction"]
@@ -678,3 +709,73 @@ class TestSeamBytes:
         code, out, _ = run_cli(capsys, *argv[:2], "--max", SEAM_MAX, "--format", "json",
                                *argv[2:])
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == SEAM_DIGESTS[argv]
+
+
+# imports the module named first, runs the CLI command that follows, if any, and
+# then names on its last stderr line which of numpy and multiprocessing it loaded
+LOADED = """
+import importlib, sys
+importlib.import_module(sys.argv[1])
+code = 0
+if sys.argv[2:]:
+    from divrank import cli
+    code = cli.main(sys.argv[2:])
+print(" ".join(sorted({"numpy", "multiprocessing"} & set(sys.modules))), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def loaded_by(*argv):
+    proc = run_fresh(LOADED, *argv, text=True)
+    assert proc.returncode in (0, 1), proc.stderr  # 1: the check found a violation
+    return proc, proc.stderr.splitlines()[-1]
+
+
+class TestWhatACommandLoads:
+    """numpy comes with the kernel's first block or a worker pool, multiprocessing
+    with a pool. Only a fresh process shows this: tests/conftest.py imports numpy."""
+
+    @pytest.mark.parametrize("argv", [
+        ("divrank",),
+        ("divrank.cli",),
+        ("divrank.cli", "profile", "36"),
+        ("divrank.cli", "verify", "multiplier"),
+        ("divrank.cli", "verify", "unit-fraction", "--max", "10000"),
+        ("divrank.cli", "verify", "prime-power-distinct", "--max", "10000"),
+        ("divrank.cli", "verify", "lower-bound", "--max", "10000"),
+        ("divrank.cli", "scan", "3", "--max", "10000"),
+    ], ids=" ".join)
+    def test_loads_neither(self, argv):
+        assert loaded_by(*argv)[1] == ""
+
+    def test_a_kernel_scan_loads_numpy_only(self):
+        argv = ("verify", "upper-bound", "--max", "1000", "--workers", "1")
+        assert loaded_by("divrank.cli", *argv)[1] == "numpy"
+
+
+POOLED = [
+    ("table", "--max", "200000", "--format", "csv"),
+    ("verify", "sigma-bounds", "--max", "200000", "--chunk-size", "16384", "--format", "json"),
+]
+
+
+class TestPooledScanInAFreshProcess:
+    """A fresh process loads numpy only when its scan opens a pool, just before the
+    fork. In-process scans run with numpy loaded from the start."""
+
+    @pytest.mark.parametrize("argv", POOLED, ids=" ".join)
+    def test_same_bytes_as_one_worker(self, capsys, argv):
+        proc, loaded = loaded_by("divrank.cli", *argv, "--workers", "2")
+        assert loaded == "multiprocessing numpy"
+        code, out, _ = run_cli(capsys, *argv, "--workers", "1")
+        assert (proc.returncode, proc.stdout) == (code, out)
+
+    def test_paused_and_resumed(self, capsys, tmp_path):
+        argv = ("divrank.cli", *POOLED[0], "--workers", "2", "--checkpoint", str(tmp_path / "t.ck"))
+        paused, loaded = loaded_by(*argv, "--max-chunks", "2")
+        assert (paused.stdout, loaded) == ("", "multiprocessing numpy")
+        assert "scan paused at n=131072" in paused.stderr
+        resumed, loaded = loaded_by(*argv)
+        assert loaded == "multiprocessing numpy"
+        assert resumed.stdout == run_cli(capsys, *POOLED[0], "--workers", "1")[1]
+        assert not (tmp_path / "t.ck").exists()
