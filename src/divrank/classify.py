@@ -20,7 +20,7 @@ from .core import (
     rank_blocks,
     rank_sums,
 )
-from .scanner import CHUNK_SIZE_DEFAULT, register_task, run_scan
+from .scanner import CHUNK_SIZE_DEFAULT, merge_fragments, register_task, run_scan
 
 
 @dataclass
@@ -97,21 +97,17 @@ def enumerate_index_ratio(limit: int, workers: int = 1) -> list[int]:
 
 
 def merge_tables(a: GkTable, b: GkTable) -> GkTable:
-    """Union of two tables over disjoint adjacent ranges; empty ranges are identities."""
-    if a.lo > a.hi:
-        return GkTable(b.lo, b.hi, {k: list(v) for k, v in b.classes.items()})
-    if b.lo > b.hi:
-        return GkTable(a.lo, a.hi, {k: list(v) for k, v in a.classes.items()})
-    first, second = (a, b) if a.lo <= b.lo else (b, a)
-    if first.hi >= second.lo:
-        raise RangeOverlapError(
-            f"ranges [{a.lo}, {a.hi}] and [{b.lo}, {b.hi}] overlap"
-        )
-    if first.hi + 1 != second.lo:
-        raise RangeOverlapError(
-            f"ranges [{a.lo}, {a.hi}] and [{b.lo}, {b.hi}] are not adjacent"
-        )
-    classes = {key: list(members) for key, members in first.classes.items()}
-    for key, members in second.classes.items():
-        classes.setdefault(key, []).extend(members)
-    return GkTable(first.lo, second.hi, classes)
+    """Union of two tables over disjoint adjacent ranges; empty ranges are identities.
+    Classes merge in range order, into new lists, as a scan's chunks merge."""
+    parts = sorted([t for t in (a, b) if t.lo <= t.hi], key=lambda t: t.lo) or [b]
+    for first, second in zip(parts, parts[1:]):
+        if first.hi >= second.lo:
+            raise RangeOverlapError(f"ranges [{a.lo}, {a.hi}] and [{b.lo}, {b.hi}] overlap")
+        if first.hi + 1 != second.lo:
+            raise RangeOverlapError(
+                f"ranges [{a.lo}, {a.hi}] and [{b.lo}, {b.hi}] are not adjacent"
+            )
+    state = {"classes": {}}
+    for t in parts:
+        state = merge_fragments(state, {"classes": t.classes})
+    return GkTable(parts[0].lo, parts[-1].hi, state["classes"])

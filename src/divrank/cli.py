@@ -4,11 +4,11 @@ Subcommands: profile, table, verify, scan, irn. Output formats are text,
 csv, and json; json and csv are byte-deterministic for any worker count
 (timing is only embedded when --timing is passed; text always shows it).
 
-Exit codes: 0 success/verified, 1 violations found, 2 usage error.
+Exit codes: 0 success/verified, 1 violations found, 2 usage or I/O error.
 
-Every flag can also come from a key=value config file (--config) or an
+Every setting can also come from a key=value config file (--config) or an
 environment variable (DIVRANK_<NAME>); command line wins, then environment,
-then file.
+then file, and one parser reads its text from each.
 """
 
 from __future__ import annotations
@@ -62,16 +62,8 @@ FORMATS = ("text", "csv", "json")
 def positive_int(text):
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        raise ValueError(f"expected a positive integer, got {text!r}")
     return value
-
-
-def rational_arg(text):
-    try:
-        q = parse_rational(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return _class_key(q.numerator, q.denominator)  # the G_k class a --k value names
 
 
 def _parse_bool(text):
@@ -89,21 +81,33 @@ def _parse_format(text):
     return text
 
 
-# name -> (parser, default) of each setting a flag, a DIVRANK_* environment
-# variable or a config file key may give; help strings read the defaults here
+def _parse_classes(text):
+    """The G_k class keys a comma list of rationals names: "18/10" names "9/5"."""
+    return [_class_key(*parse_rational(q).as_integer_ratio()) for q in text.split(",") if q]
+
+
+# name -> (parser, default, metavar, help) of each setting a flag, a DIVRANK_*
+# environment variable or a config file key may give; a boolean's flag is a
+# switch, and a class list's flag may repeat
 SETTINGS = {
-    "max": (positive_int, 100_000),
-    "format": (_parse_format, "text"),
-    "out": (str, None),
-    "workers": (positive_int, 1),
-    "chunk_size": (positive_int, CHUNK_SIZE_DEFAULT),
-    "checkpoint": (str, None),
-    "max_chunks": (positive_int, None),
-    "timing": (_parse_bool, False),
-    "seed": (int, 2),
-    "samples": (positive_int, 500),
-    "k": (lambda text: [rational_arg(part) for part in text.split(",") if part], ()),
+    "max": (positive_int, 100_000, "N", "scan limit"),
+    "format": (_parse_format, "text", "{" + ",".join(FORMATS) + "}", "output format"),
+    "out": (str, None, "FILE", "write the payload to FILE instead of stdout"),
+    "workers": (positive_int, 1, "W", "worker processes; never changes output bytes"),
+    "chunk_size": (positive_int, CHUNK_SIZE_DEFAULT, "C", "chunk length for range scans"),
+    "checkpoint": (str, None, "FILE", "save/resume scan state in FILE"),
+    "max_chunks": (positive_int, None, "M",
+                   "process at most M chunks this run, then pause (needs --checkpoint)"),
+    "timing": (_parse_bool, False, None,
+               "embed wall time in json/csv output (breaks byte determinism)"),
+    "seed": (int, 2, "SEED", "sample seed for the multiplier check"),
+    "samples": (positive_int, 500, "SAMPLES", "sample count for the multiplier check"),
+    "k": (_parse_classes, (), "RAT[,RAT...]", "only list these classes (repeatable)"),
 }
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
 
 
 def load_config_file(path):
@@ -124,18 +128,21 @@ def load_config_file(path):
 
 
 def resolve_settings(parser, args):
-    """Fill each setting the command line left unset from the environment, else the
-    config file, else its default; `args.defaulted` names those given nowhere."""
+    """Parse each setting the subcommand takes from the first source that gives its
+    text: the flag, then the DIVRANK_* variable, then the config file. A setting
+    given nowhere takes its default, and `args.defaulted` names it."""
     try:
-        file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
+        file_values = load_config_file(args.config) if args.config else {}
     except (OSError, ValueError) as exc:
         parser.error(f"cannot read config file: {exc}")
     args.defaulted = set()
-    for name, (parse, default) in SETTINGS.items():
-        if not hasattr(args, name) or getattr(args, name) is not None:
+    for name, (parse, default, _, _) in SETTINGS.items():
+        if not hasattr(args, name):
             continue
-        env = ENV_PREFIX + name.upper()
-        if env in os.environ:
+        raw, env = getattr(args, name), ENV_PREFIX + name.upper()
+        if raw is not None:  # a repeated --k gives a list, read as one comma list
+            raw, source = (",".join(raw) if isinstance(raw, list) else raw), _flag(name)
+        elif env in os.environ:
             raw, source = os.environ[env], "environment variable " + env
         elif name in file_values:
             raw, source = file_values[name], f"config file key {name!r}"
@@ -145,7 +152,7 @@ def resolve_settings(parser, args):
             continue
         try:
             setattr(args, name, parse(raw))
-        except (ValueError, argparse.ArgumentTypeError) as exc:
+        except ValueError as exc:
             parser.error(f"bad value in {source}: {exc}")
     return args
 
@@ -338,7 +345,7 @@ def _refuse_chunk_flags(parser, args):
         return
     for name, value in _chunk_flags(args).items():
         if value is not None:
-            parser.error(f"--{name.replace('_', '-')} does not apply to verify {check}, "
+            parser.error(f"{_flag(name)} does not apply to verify {check}, "
                          "which is not a chunked scan")
 
 
@@ -379,24 +386,26 @@ def cmd_irn(args):
 # parser
 
 
-def _add_common(sub, scans=True):
-    sub.add_argument("--format", choices=FORMATS, default=None,
-                     help=f"output format (default {SETTINGS['format'][1]})")
-    sub.add_argument("--out", default=None, metavar="FILE",
-                     help="write the payload to FILE instead of stdout")
-    sub.add_argument("--config", default=None, metavar="FILE",
+_SCAN_SETTINGS = ("format", "out", "max", "workers", "chunk_size", "checkpoint", "max_chunks")
+
+
+def _add_subcommand(subs, name, func, summary, settings):
+    """A subcommand whose flags give `settings`: argparse only collects their text,
+    which resolve_settings parses by the setting's SETTINGS row."""
+    sub = subs.add_parser(name, help=summary)
+    sub.set_defaults(func=func, parser=sub)  # a usage error after parsing names its subcommand
+    sub.add_argument("--config", metavar="FILE",
                      help="key=value file supplying defaults for any flag")
-    if scans:
-        sub.add_argument("--max", type=positive_int, default=None, metavar="N",
-                         help=f"scan limit (default {SETTINGS['max'][1]})")
-        sub.add_argument("--workers", type=positive_int, default=None, metavar="W",
-                         help="worker processes; never changes output bytes")
-        sub.add_argument("--chunk-size", type=positive_int, default=None, metavar="C",
-                         help=f"chunk length for range scans (default {SETTINGS['chunk_size'][1]})")
-        sub.add_argument("--checkpoint", default=None, metavar="FILE",
-                         help="save/resume scan state in FILE")
-        sub.add_argument("--max-chunks", type=positive_int, default=None, metavar="M",
-                         help="process at most M chunks this run, then pause (needs --checkpoint)")
+    for setting in settings:
+        parse, default, metavar, text = SETTINGS[setting]
+        if default:  # a path, a switch or a filter is off by default
+            text += f" (default {default})"
+        if parse is _parse_bool:
+            sub.add_argument(_flag(setting), action="store_const", const="true", help=text)
+        else:
+            action = "append" if parse is _parse_classes else "store"
+            sub.add_argument(_flag(setting), action=action, metavar=metavar, help=text)
+    return sub
 
 
 def build_parser():
@@ -406,41 +415,18 @@ def build_parser():
                     "G_k classification tables, and exhaustive theorem/conjecture scans.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("profile", help="divisor profile of a single integer")
-    p.add_argument("n", type=positive_int)
-    _add_common(p, scans=False)
-    p.set_defaults(func=cmd_profile)
-
-    t = subs.add_parser("table", help="G_k classification table for [1, max]")
-    t.add_argument("--k", action="append", type=rational_arg, default=None,
-                   metavar="RAT", help="only list this class (repeatable)")
-    _add_common(t)
-    t.set_defaults(func=cmd_table)
-
-    v = subs.add_parser("verify", help="run one theorem suite over [1, max]")
-    v.add_argument("check", choices=VERIFY_CHECKS)
-    v.add_argument("--seed", type=int, default=None,
-                   help=f"sample seed for the multiplier check (default {SETTINGS['seed'][1]})")
-    v.add_argument("--samples", type=positive_int, default=None,
-                   help=f"sample count for the multiplier check (default {SETTINGS['samples'][1]})")
-    s = subs.add_parser("scan", help="run a conjecture counterexample scan")
-    s.add_argument("conjecture", type=int, choices=(1, 2, 3))
-    for sub, func in ((v, cmd_verify), (s, cmd_scan)):
-        sub.add_argument("--timing", action="store_const", const=True, default=None,
-                         help="embed wall time in json/csv output (breaks byte determinism)")
-        _add_common(sub)
-        sub.set_defaults(func=func)
-
-    i = subs.add_parser("irn", help="list index ratio numbers up to max")
-    i.add_argument("--workers", type=positive_int, default=None, metavar="W")
-    _add_common(i, scans=False)
-    i.add_argument("--max", type=positive_int, default=None, metavar="N",
-                   help=f"enumeration limit (default {SETTINGS['max'][1]})")
-    i.set_defaults(func=cmd_irn)
-
-    for sub in subs.choices.values():  # a usage error found after parsing names its subcommand
-        sub.set_defaults(parser=sub)
+    _add_subcommand(subs, "profile", cmd_profile, "divisor profile of a single integer",
+                    ("format", "out")).add_argument("n", type=positive_int)
+    _add_subcommand(subs, "table", cmd_table, "G_k classification table for [1, max]",
+                    ("k", *_SCAN_SETTINGS))
+    _add_subcommand(subs, "verify", cmd_verify, "run one theorem suite over [1, max]",
+                    ("seed", "samples", "timing", *_SCAN_SETTINGS)
+                    ).add_argument("check", choices=VERIFY_CHECKS)
+    _add_subcommand(subs, "scan", cmd_scan, "run a conjecture counterexample scan",
+                    ("timing", *_SCAN_SETTINGS)
+                    ).add_argument("conjecture", type=int, choices=(1, 2, 3))
+    _add_subcommand(subs, "irn", cmd_irn, "list index ratio numbers up to max",
+                    ("format", "out", "max", "workers"))
     return parser
 
 
@@ -454,7 +440,7 @@ def main(argv=None):
         print(f"scan paused at n={exc.last_n}; rerun with the same flags to resume "
               f"from {exc.checkpoint}", file=sys.stderr)
         return 0
-    except (CheckpointError, ValueError) as exc:
+    except (CheckpointError, OSError, ValueError) as exc:  # OSError: --out or --checkpoint
         print(f"divrank: {exc}", file=sys.stderr)
         return 2
 

@@ -186,7 +186,8 @@ def run_scan(task, lo, hi, *, workers=1, chunk_size=CHUNK_SIZE_DEFAULT,
     todo = left if max_chunks is None else left[:max_chunks]
 
     jobs = ((task, a, end(a)) for a in todo)
-    parallel = workers > 1 and len(todo) > 1
+    workers = min(workers, len(todo))  # no more processes than chunks left to run
+    parallel = workers > 1
     if parallel:  # only a pooled scan loads these
         import multiprocessing
 

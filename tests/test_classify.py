@@ -165,12 +165,61 @@ class TestMergeTables:
         with pytest.raises(RangeOverlapError):
             merge_tables(scan_range(1, 50), scan_range(60, 100))
 
+    def test_shares_no_list_with_its_inputs(self):
+        a, b = scan_range(1, 50), scan_range(51, 100)
+        inputs = {id(members) for t in (a, b) for members in t.classes.values()}
+        for merged in (merge_tables(a, b), merge_tables(GkTable(51, 50, {}), a),
+                       merge_tables(b, GkTable(101, 100, {}))):
+            assert not inputs & {id(members) for members in merged.classes.values()}
+
     @given(st.integers(min_value=2, max_value=499))
     @settings(max_examples=12, deadline=None)
     def test_any_split_boundary(self, split):
         whole = scan_range(1, 500)
         merged = merge_tables(scan_range(1, split), scan_range(split + 1, 500))
         assert merged.classes == whole.classes
+
+
+class _RecordingPool:
+    """A multiprocessing.Pool stand-in that records its size and maps in-process."""
+
+    def __init__(self, sizes, processes):
+        sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, jobs):
+        return map(fn, jobs)
+
+
+class TestPoolSize:
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        import multiprocessing
+
+        sizes = []
+        monkeypatch.setattr(multiprocessing, "Pool",
+                            lambda processes: _RecordingPool(sizes, processes))
+        return sizes
+
+    def test_no_more_processes_than_chunks(self, sizes):
+        straight = run_scan("gk", 1, 1024, chunk_size=256)
+        assert run_scan("gk", 1, 1024, workers=64, chunk_size=256) == straight
+        assert run_scan("gk", 1, 1024, workers=3, chunk_size=256) == straight
+        assert run_scan("gk", 1, 256, workers=64, chunk_size=256) == run_scan("gk", 1, 256)
+        assert sizes == [4, 3]  # one chunk runs in-process
+
+    def test_a_resumed_scan_sizes_to_the_chunks_left(self, sizes, tmp_path):
+        path = str(tmp_path / "gk.ck")
+        with pytest.raises(ScanInterrupted):
+            run_scan("gk", 1, 1024, workers=64, chunk_size=256, checkpoint=path, max_chunks=1)
+        resumed = run_scan("gk", 1, 1024, workers=64, chunk_size=256, checkpoint=path)
+        assert resumed == run_scan("gk", 1, 1024, chunk_size=256)
+        assert sizes == [3]
 
 
 class TestMembersOfK:

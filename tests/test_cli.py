@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -297,6 +298,20 @@ class TestIrn:
                 monkeypatch.setattr(module, "rank_blocks", counted)
         code, _, _ = run_cli(capsys, "irn", "--max", "20000", "--format", "csv")
         assert (code, sum(walked)) == (0, 20_000)
+
+
+class TestIOErrorsExit2:
+    """Exit 1 means a violation was found, so a path that cannot be written is exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["irn", "--max", "10", "--out"],
+        ["verify", "upper-bound", "--max", "70000", "--max-chunks", "1", "--checkpoint"],
+    ], ids=["out", "checkpoint"])
+    def test_path_in_a_missing_directory(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, *argv, str(tmp_path / "missing" / "x"))
+        assert (code, out) == (2, "")
+        assert err.startswith("divrank: ") and len(err.splitlines()) == 1
+        assert str(tmp_path / "missing" / "x") in err
 
 
 class TestOutAndDeterminism:
@@ -599,6 +614,17 @@ SETTING_CASES = {
 }
 
 
+_SCANS = {"format", "out", "max", "workers", "chunk_size", "checkpoint", "max_chunks"}
+# subcommand -> the settings its flags give
+SUBCOMMAND_SETTINGS = {
+    "profile": {"format", "out"},
+    "table": {"k", *_SCANS},
+    "verify": {"seed", "samples", "timing", *_SCANS},
+    "scan": {"timing", *_SCANS},
+    "irn": {"format", "out", "max", "workers"},
+}
+
+
 def _resolved(argv):
     parser = cli.build_parser()
     return cli.resolve_settings(parser, parser.parse_args(argv))
@@ -634,6 +660,50 @@ class TestEverySetting:
         monkeypatch.delenv(env)
         cfg.write_text(f"{name}={bad}\n")
         assert f"config file key {name!r}" in _usage_error(capsys, from_file)
+
+    @pytest.mark.parametrize("name", [name for name, case in SETTING_CASES.items() if case[4]])
+    def test_bad_text_refused_alike_from_every_source(self, tmp_path, monkeypatch, capsys,
+                                                      name):
+        command, flag_argv, _, _, bad = SETTING_CASES[name]
+        env = "DIVRANK_" + name.upper()
+        monkeypatch.delenv(env, raising=False)
+        cfg = tmp_path / "divrank.cfg"
+        cfg.write_text(f"{name}={bad}\n")
+        from_file = [*command, "--config", str(cfg)]
+        # each source wins over those before it, which give the same bad text
+        sources = [(f"config file key {name!r}", from_file),
+                   (f"environment variable {env}", from_file)]
+        if cli.SETTINGS[name][0] is not cli._parse_bool:  # a switch's flag carries no text
+            sources.append((flag_argv[0], [*from_file, flag_argv[0], bad]))
+        for source, argv in sources:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"usage: divrank {command[0]} ")
+            assert f"divrank {command[0]}: error: bad value in {source}: " in err
+            monkeypatch.setenv(env, bad)
+
+    def test_k_comma_list_repeated_flag_and_env_agree(self, monkeypatch):
+        keys = [_resolved(["table", "--k", "2/5,3/10"]).k,
+                _resolved(["table", "--k", "2/5", "--k", "3/10"]).k]
+        monkeypatch.setenv("DIVRANK_K", "2/5,3/10")
+        keys.append(_resolved(["table"]).k)
+        assert keys == [["2/5", "3/10"]] * 3
+
+    @pytest.mark.parametrize("command", list(SUBCOMMAND_SETTINGS))
+    def test_help_lists_exactly_the_settings_taken(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        flags = set(re.findall(r"^  (--[a-z-]+)", out, re.MULTILINE))
+        taken = SUBCOMMAND_SETTINGS[command]
+        assert flags == {"--config", *("--" + name.replace("_", "-") for name in taken)}
+        words = " ".join(out.split())  # each flag's help with its default, unwrapped
+        for name in taken:
+            _, default, _, text = cli.SETTINGS[name]
+            assert (f"{text} (default {default})" if default else text) in words
 
 
 # sha256 of stdout, with the exit code, as the per-n divisor-list scanners wrote
