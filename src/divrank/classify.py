@@ -108,6 +108,6 @@ def merge_tables(a: GkTable, b: GkTable) -> GkTable:
                 f"ranges [{a.lo}, {a.hi}] and [{b.lo}, {b.hi}] are not adjacent"
             )
     state = {"classes": {}}
-    for t in parts:
-        state = merge_fragments(state, {"classes": t.classes})
+    for t in parts:  # merge_fragments adopts a new key's list: hand it a copy
+        state = merge_fragments(state, {"classes": {k: list(m) for k, m in t.classes.items()}})
     return GkTable(parts[0].lo, parts[-1].hi, state["classes"])

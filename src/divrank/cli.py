@@ -216,6 +216,10 @@ def _members_json(members):
     return ("[\n        " + ",\n        ".join(map(str, members)) + "\n      ]") if members else "[]"
 
 
+# _CLASS_JSON of a class whose one member is both its first and its last
+_ONE_MEMBER_JSON = _CLASS_JSON % ("%s", 1, "[\n        %d\n      ]", "[\n        %d\n      ]")
+
+
 def _class_json(k, members):
     first = _members_json(members[:8])
     last = first if len(members) <= 8 else _members_json(members[-8:])
@@ -233,7 +237,9 @@ def _class_csv(k, members):
 def render_table(table, filters, fmt):
     rows = [(k, table.classes.get(k, [])) for k in filters] if filters else table.classes.items()
     if fmt == "json":  # the bytes _json_text gives the payload, from a per-class template
-        classes = ",\n".join([_class_json(k, members) for k, members in rows])
+        classes = ",\n".join([_ONE_MEMBER_JSON % (k, members[0], members[0])
+                               if len(members) == 1 else _class_json(k, members)
+                               for k, members in rows])
         classes = f"[\n{classes}\n  ]" if classes else "[]"
         return (f'{{\n  "kind": "table",\n  "lo": {table.lo},\n  "hi": {table.hi},\n'
                 f'  "classes": {classes}\n}}\n')

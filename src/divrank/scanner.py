@@ -5,6 +5,12 @@ registered per-chunk task, and merges fragments in chunk order. Output is
 therefore identical for any worker count, and a run interrupted at a chunk
 boundary resumes from its checkpoint to the same result. A checkpoint is an
 append-only log: a header line, then one line per chunk with its fragment.
+
+With a checkpoint, the process that computes a chunk also encodes its
+fragment, once, as the compact JSON its log line holds; the parent appends
+those bytes and decodes them only when the call will finish the scan. A run
+that `max_chunks` pauses keeps no state of the chunks it runs: it appends
+their lines, and decodes and merges none of them.
 """
 
 from __future__ import annotations
@@ -23,7 +29,9 @@ _FRAGMENT_KEY = b',"fragment":'  # a chunk line's last key: the fragment's bytes
 
 # name -> (chunk_fn(lo, hi) -> fragment,
 #          merge_fn(state, fragment) -> state,
-#          empty_fn() -> state); fragments and state are JSON-safe.
+#          empty_fn() -> state); fragments and state are JSON-safe. Under a
+# checkpoint, _run_chunk encodes chunk_fn's fragment in the process that ran it,
+# and merge_fn sees only the fragments of a call that finishes its scan.
 # perfbench/traced_cli.py wraps these triples and reads chunk_fn.__module__.
 _TASKS: dict[str, tuple] = {}
 
@@ -31,13 +39,18 @@ _TASKS: dict[str, tuple] = {}
 def merge_fragments(state, frag):
     """Fold a chunk's fragment into the running state, in chunk order.
 
-    Ints add, lists extend, and dicts of lists extend per key.
+    Ints add, lists extend, and dicts of lists extend per key; a key new to the
+    state takes the fragment's list itself, which later fragments extend.
     """
     for key, value in frag.items():
         if isinstance(value, dict):
             acc = state[key]
             for k, members in value.items():
-                acc.setdefault(k, []).extend(members)
+                held = acc.get(k)
+                if held is None:
+                    acc[k] = members
+                else:
+                    held.extend(members)
         else:
             state[key] += value
     return state
@@ -48,9 +61,17 @@ def register_task(name, chunk_fn, empty):
     _TASKS[name] = (chunk_fn, merge_fragments, lambda: copy.deepcopy(empty))
 
 
+def encode_fragment(fragment):
+    """The compact JSON bytes of a fragment: the body of its checkpoint line."""
+    return json.dumps(fragment, separators=(",", ":")).encode()
+
+
 def _run_chunk(args):
-    task, lo, hi = args
-    return _TASKS[task][0](lo, hi)
+    """The chunk's fragment; encoded by encode_fragment if `encode`, in the process
+    that computed it, so the parent never serializes a fragment."""
+    task, lo, hi, encode = args
+    fragment = _TASKS[task][0](lo, hi)
+    return encode_fragment(fragment) if encode else fragment
 
 
 def config_digest(task: str, lo: int, hi: int, chunk_size: int) -> str:
@@ -61,10 +82,9 @@ def config_digest(task: str, lo: int, hi: int, chunk_size: int) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _chunk_line(last_n, fragment):
-    """One chunk's log line, its fragment serialized once and written last, so that
+def _chunk_line(last_n, body):
+    """One chunk's log line, its fragment's encoded `body` written last, so that
     the digest covers exactly the bytes load_checkpoint reads back."""
-    body = json.dumps(fragment, separators=(",", ":")).encode()
     head = json.dumps({"last_n": last_n, "sha256": hashlib.sha256(body).hexdigest()},
                       separators=(",", ":"))
     return b"".join((head[:-1].encode(), _FRAGMENT_KEY, body, b"}\n"))
@@ -77,11 +97,12 @@ def _write_synced(path, mode, data):
         os.fsync(fh.fileno())
 
 
-def save_checkpoint(path, task, config_hash, last_n, fragment):
-    """Append the chunk ending at `last_n` to the log at `path` with a single write,
-    so a kill tears at most that line. A new log appears whole, by rename, with its
-    header line: {version, task, config_hash}."""
-    line = _chunk_line(last_n, fragment)
+def save_checkpoint(path, task, config_hash, last_n, body):
+    """Append the chunk ending at `last_n`, its fragment encoded as `body` by
+    encode_fragment, to the log at `path` with a single write, so a kill tears at
+    most that line. A new log appears whole, by rename, with its header line:
+    {version, task, config_hash}."""
+    line = _chunk_line(last_n, body)
     if os.path.exists(path):
         _write_synced(path, "ab", line)
         return
@@ -184,8 +205,9 @@ def run_scan(task, lo, hi, *, workers=1, chunk_size=CHUNK_SIZE_DEFAULT,
         done, state = load_checkpoint(checkpoint, task, digest, map(end, starts))
     left = starts[done:]  # empty when a resumed scan had finished: it still cleans up
     todo = left if max_chunks is None else left[:max_chunks]
+    pausing = len(todo) < len(left)  # its state would be discarded: merge nothing
 
-    jobs = ((task, a, end(a)) for a in todo)
+    jobs = ((task, a, end(a), bool(checkpoint)) for a in todo)
     workers = min(workers, len(todo))  # no more processes than chunks left to run
     parallel = workers > 1
     if parallel:  # only a pooled scan loads these
@@ -197,11 +219,14 @@ def run_scan(task, lo, hi, *, workers=1, chunk_size=CHUNK_SIZE_DEFAULT,
     with multiprocessing.Pool(workers) if parallel else contextlib.nullcontext() as pool:
         frags = pool.imap(_run_chunk, jobs) if parallel else map(_run_chunk, jobs)
         for a, frag in zip(todo, frags):
-            state = merge_fn(state, frag)
-            if checkpoint:
+            if checkpoint:  # frag holds the line's encoded body
                 save_checkpoint(checkpoint, task, digest, end(a), frag)
+                if pausing:
+                    continue
+                frag = json.loads(frag)
+            state = merge_fn(state, frag)
 
-    if len(todo) < len(left):
+    if pausing:
         raise ScanInterrupted(checkpoint, end(todo[-1]))
     if checkpoint and os.path.exists(checkpoint):
         os.remove(checkpoint)

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import tracemalloc
@@ -17,9 +18,16 @@ from divrank import (
     members_of_k,
     merge_tables,
     scan_range,
+    scanner,
 )
 from divrank.classify import GkTable, _class_key
-from divrank.scanner import config_digest, load_checkpoint, run_scan, save_checkpoint
+from divrank.scanner import (
+    config_digest,
+    encode_fragment,
+    load_checkpoint,
+    run_scan,
+    save_checkpoint,
+)
 
 # the published 23-element prefix of the index ratio numbers
 IRN_PREFIX_32 = [1, 2, 3, 5, 6, 7, 8, 10, 11, 13, 14, 15, 17, 18, 19, 21, 22,
@@ -172,6 +180,17 @@ class TestMergeTables:
                        merge_tables(b, GkTable(101, 100, {}))):
             assert not inputs & {id(members) for members in merged.classes.values()}
 
+    def test_leaves_its_inputs_unchanged(self):
+        # merge_fragments adopts a new key's list and extends it with a later table's
+        a, b = scan_range(1, 50), scan_range(51, 100)
+        assert {"2", "3"} <= a.classes.keys() & b.classes.keys()
+        before = copy.deepcopy((a.classes, b.classes))
+        merged = merge_tables(a, b)
+        assert (a.classes, b.classes) == before
+        inputs = {id(members) for t in (a, b) for members in t.classes.values()}
+        assert not inputs & {id(members) for members in merged.classes.values()}
+        assert merge_tables(a, b).classes == merged.classes
+
     @given(st.integers(min_value=2, max_value=499))
     @settings(max_examples=12, deadline=None)
     def test_any_split_boundary(self, split):
@@ -261,11 +280,12 @@ class TestEnumerateIndexRatio:
 class TestCheckpoint:
     def test_round_trip_bytes(self, tmp_path):
         path = tmp_path / "ck.json"
-        save_checkpoint(path, "gk", "abc123", 64, {"classes": {"2": [2, 6], "9/5": [12]}})
+        save_checkpoint(path, "gk", "abc123", 64,
+                        encode_fragment({"classes": {"2": [2, 6], "9/5": [12]}}))
         first = path.read_bytes()
         chunks, state = load_checkpoint(path, "gk", "abc123", [64])
         path.unlink()
-        save_checkpoint(path, "gk", "abc123", 64, state)
+        save_checkpoint(path, "gk", "abc123", 64, encode_fragment(state))
         assert (chunks, path.read_bytes()) == (1, first)
 
     @pytest.mark.parametrize("max_chunks", [0, -1])
@@ -277,7 +297,7 @@ class TestCheckpoint:
 
     def test_config_mismatch_rejected(self, tmp_path):
         path = tmp_path / "ck.json"
-        save_checkpoint(path, "gk", "abc123", 64, {"classes": {}})
+        save_checkpoint(path, "gk", "abc123", 64, encode_fragment({"classes": {}}))
         with pytest.raises(CheckpointError):
             load_checkpoint(path, "gk", "zzz")
         with pytest.raises(CheckpointError):
@@ -354,6 +374,24 @@ class TestCheckpoint:
         resumed = scan_range(1, 2000, chunk_size=256, checkpoint=str(path))
         assert not path.exists()
         assert list(resumed.classes.items()) == list(straight.classes.items())
+
+    def test_paused_run_only_appends(self, tmp_path, monkeypatch):
+        # 8 chunks; each call pauses after 3, and no call merges a fragment
+        def refuse(state, fragment):
+            raise AssertionError("a paused run merged a fragment")
+
+        chunk_fn, _, empty_fn = scanner._TASKS["gk"]
+        monkeypatch.setitem(scanner._TASKS, "gk", (chunk_fn, refuse, empty_fn))
+        logs = {}
+        for workers in (1, 2):
+            path = tmp_path / f"w{workers}.ck"
+            for lines in (3, 6):
+                with pytest.raises(ScanInterrupted):
+                    scan_range(1, 2000, workers=workers, chunk_size=256,
+                               checkpoint=str(path), max_chunks=3)
+                assert len(path.read_bytes().splitlines()) == 1 + lines  # the header, then chunks
+            logs[workers] = path.read_bytes()
+        assert logs[1] == logs[2]
 
     def test_max_chunks_requires_checkpoint(self):
         with pytest.raises(ValueError):

@@ -144,9 +144,12 @@ def gk_tables(draw):
 
 
 class TestTableJsonTemplate:
-    @given(gk_tables())
-    def test_matches_indent2(self, table):
-        assert cli.render_table(table, (), "json") == indent2_table(table)
+    @given(gk_tables(), st.data())
+    def test_matches_indent2(self, table, data):
+        # --k filters name classes of the table, or keys it lacks, which render []
+        filters = data.draw(st.lists(st.sampled_from(sorted(table.classes)) | CLASS_KEYS,
+                                     max_size=6))
+        assert cli.render_table(table, filters, "json") == indent2_table(table, filters)
 
     def test_filter_names_an_absent_class(self):
         table = GkTable(1, 10, {"2": [2, 6, 8, 10], "2/5": [4]})
@@ -402,7 +405,7 @@ class TestOutAndDeterminism:
         with monkeypatch.context() as m:
             m.setattr(scanner, "CHECKPOINT_VERSION", 2)
             scanner.save_checkpoint(ck, "gk", head["config_hash"], line["last_n"],
-                                    {"classes": classes})
+                                    scanner.encode_fragment({"classes": classes}))
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert "unsupported checkpoint version" in err
