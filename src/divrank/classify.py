@@ -18,7 +18,6 @@ from .core import (
     divisor_list_of,
     parse_rational,
     rank_blocks,
-    rank_sums,
 )
 from .scanner import CHUNK_SIZE_DEFAULT, merge_fragments, register_task, run_scan
 
@@ -52,8 +51,9 @@ def _class_key(se, so):
 
 def _gk_chunk(lo, hi):
     classes: dict[str, list[int]] = {}
-    for n, tau, d2, se, so, paired in rank_sums(lo, hi):
-        classes.setdefault(_class_key(se, so), []).append(n)
+    for n, tau, d2, se, so, paired in rank_blocks(lo, hi):
+        for m, e, o in block_rows((n, se, so)):  # every row, only the columns it keys by
+            classes.setdefault(_class_key(e, o), []).append(m)
     return {"classes": classes}
 
 

@@ -82,8 +82,9 @@ def _parse_format(text):
 
 
 def _parse_classes(text):
-    """The G_k class keys a comma list of rationals names: "18/10" names "9/5"."""
-    return [_class_key(*parse_rational(q).as_integer_ratio()) for q in text.split(",") if q]
+    """The G_k class keys a comma list of rationals names: "18/10" names "9/5". An
+    empty entry names no class and is refused, so "" never means every class."""
+    return [_class_key(*parse_rational(q).as_integer_ratio()) for q in text.split(",")]
 
 
 # name -> (parser, default, metavar, help) of each setting a flag, a DIVRANK_*

@@ -200,14 +200,8 @@ def block_rows(block, at=None):
         yield from zip(*(column[part].tolist() for column in block))
 
 
-def rank_sums(lo, hi):
-    """The rank_blocks rows of each n in [lo, hi], in order, through block_rows."""
-    for block in rank_blocks(lo, hi):
-        yield from block_rows(block)
-
-
 def _rank_row(divs):
-    """The rank_sums row of the n whose ascending divisor list is `divs`."""
+    """The rank_blocks row, in Python ints, of the n whose ascending divisor list is `divs`."""
     tau = len(divs)
     d2 = divs[1] if tau > 1 else 1
     paired = tau % 2 == 0 and all(divs[i + 1] == d2 * divs[i] for i in range(0, tau, 2))

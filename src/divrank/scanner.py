@@ -7,10 +7,10 @@ boundary resumes from its checkpoint to the same result. A checkpoint is an
 append-only log: a header line, then one line per chunk with its fragment.
 
 With a checkpoint, the process that computes a chunk also encodes its
-fragment, once, as the compact JSON its log line holds; the parent appends
-those bytes and decodes them only when the call will finish the scan. A run
-that `max_chunks` pauses keeps no state of the chunks it runs: it appends
-their lines, and decodes and merges none of them.
+fragment, once, as the compact JSON its log line holds. run_scan alone folds
+fragments into state, the resumed ones first, and only in a call that finishes
+the scan: a run that `max_chunks` pauses appends its chunks' lines and decodes
+none of them, and load_checkpoint decodes a log's lines only to validate them.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ _FRAGMENT_KEY = b',"fragment":'  # a chunk line's last key: the fragment's bytes
 # name -> (chunk_fn(lo, hi) -> fragment,
 #          merge_fn(state, fragment) -> state,
 #          empty_fn() -> state); fragments and state are JSON-safe. Under a
-# checkpoint, _run_chunk encodes chunk_fn's fragment in the process that ran it,
-# and merge_fn sees only the fragments of a call that finishes its scan.
+# checkpoint, _run_chunk encodes chunk_fn's fragment in the process that ran it;
+# only run_scan calls merge_fn, on every chunk in order, in a call that finishes.
 # perfbench/traced_cli.py wraps these triples and reads chunk_fn.__module__.
 _TASKS: dict[str, tuple] = {}
 
@@ -113,7 +113,7 @@ def save_checkpoint(path, task, config_hash, last_n, body):
 
 
 def load_checkpoint(path, task, config_hash, chunk_ends=()):
-    """(chunks, state) replayed from the log save_checkpoint appends to, validated.
+    """The validated fragments, in chunk order, of the log save_checkpoint appends to.
 
     Line i + 1 must hold chunk i: a fragment of the task's shape, its digest, and
     as last_n the i-th of `chunk_ends`, the scan's chunk ends in order. An
@@ -138,8 +138,7 @@ def load_checkpoint(path, task, config_hash, chunk_ends=()):
         raise CheckpointError(f"checkpoint {path} belongs to task {doc.get('task')!r}, not {task!r}")
     if doc.get("config_hash") != config_hash:
         raise CheckpointError(f"checkpoint {path} was written under a different configuration")
-    empty_fn = _TASKS[task][2]
-    empty, state, chunks, ends = empty_fn(), empty_fn(), 0, iter(chunk_ends)
+    empty, fragments, ends = _TASKS[task][2](), [], iter(chunk_ends)
     for chunks, line in enumerate(lines, 1):
         where = f"checkpoint {path} line {chunks + 1}"
         prefix, key, body = line[:-1].partition(_FRAGMENT_KEY)
@@ -159,10 +158,10 @@ def load_checkpoint(path, task, config_hash, chunk_ends=()):
         if doc["last_n"] != expected:
             raise CheckpointError(f"{where} ends chunk {chunks} at n={doc['last_n']}, "
                                   f"not at n={expected}: its chunks are out of order")
-        state = merge_fragments(state, fragment)
+        fragments.append(fragment)
     if whole < len(raw):
         os.truncate(path, whole)
-    return chunks, state
+    return fragments
 
 
 def _same_shape(state, empty):
@@ -200,12 +199,17 @@ def run_scan(task, lo, hi, *, workers=1, chunk_size=CHUNK_SIZE_DEFAULT,
 
     # chunk starts as a range, sliced and counted without listing a chunk
     starts = range(lo, hi + 1, chunk_size)
-    done, state = 0, empty_fn()
+    resumed = []
     if checkpoint and os.path.exists(checkpoint):
-        done, state = load_checkpoint(checkpoint, task, digest, map(end, starts))
-    left = starts[done:]  # empty when a resumed scan had finished: it still cleans up
+        resumed = load_checkpoint(checkpoint, task, digest, map(end, starts))
+    left = starts[len(resumed):]  # empty when a resumed scan had finished: it still cleans up
     todo = left if max_chunks is None else left[:max_chunks]
-    pausing = len(todo) < len(left)  # its state would be discarded: merge nothing
+    pausing = len(todo) < len(left)  # its state would be discarded: fold nothing
+    state = empty_fn()
+    if not pausing:
+        for frag in resumed:
+            state = merge_fn(state, frag)
+    del resumed  # the folded state holds their lists; drop the rest before the jobs
 
     jobs = ((task, a, end(a), bool(checkpoint)) for a in todo)
     workers = min(workers, len(todo))  # no more processes than chunks left to run

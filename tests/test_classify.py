@@ -283,10 +283,10 @@ class TestCheckpoint:
         save_checkpoint(path, "gk", "abc123", 64,
                         encode_fragment({"classes": {"2": [2, 6], "9/5": [12]}}))
         first = path.read_bytes()
-        chunks, state = load_checkpoint(path, "gk", "abc123", [64])
+        (fragment,) = load_checkpoint(path, "gk", "abc123", [64])  # the one chunk logged
         path.unlink()
-        save_checkpoint(path, "gk", "abc123", 64, encode_fragment(state))
-        assert (chunks, path.read_bytes()) == (1, first)
+        save_checkpoint(path, "gk", "abc123", 64, encode_fragment(fragment))
+        assert path.read_bytes() == first
 
     @pytest.mark.parametrize("max_chunks", [0, -1])
     def test_no_chunk_budget_rejected_before_the_checkpoint(self, tmp_path, max_chunks):
@@ -392,6 +392,29 @@ class TestCheckpoint:
                 assert len(path.read_bytes().splitlines()) == 1 + lines  # the header, then chunks
             logs[workers] = path.read_bytes()
         assert logs[1] == logs[2]
+
+    def test_resumed_chunks_fold_through_the_merge_slot(self, tmp_path, monkeypatch):
+        # 8 chunks: the calls that pause fold nothing, and the call that finishes
+        # folds every chunk, the 6 resumed ones too, through the slot, in order
+        chunk_fn, merge_fn, empty_fn = scanner._TASKS["gk"]
+        folded = []
+
+        def count(state, fragment):  # a chunk's first n is its smallest member
+            folded.append(min(min(members) for members in fragment["classes"].values()))
+            return merge_fn(state, fragment)
+
+        monkeypatch.setitem(scanner._TASKS, "gk", (chunk_fn, count, empty_fn))
+        straight = scan_range(1, 2000, chunk_size=256)
+        for workers in (1, 2):
+            path = str(tmp_path / f"w{workers}.ck")
+            for _ in range(2):  # the second call resumes 3 chunks, then pauses again
+                with pytest.raises(ScanInterrupted):
+                    scan_range(1, 2000, workers=workers, chunk_size=256,
+                               checkpoint=path, max_chunks=3)
+            folded.clear()
+            resumed = scan_range(1, 2000, workers=workers, chunk_size=256, checkpoint=path)
+            assert folded == list(range(1, 2001, 256))
+            assert list(resumed.classes.items()) == list(straight.classes.items())
 
     def test_max_chunks_requires_checkpoint(self):
         with pytest.raises(ValueError):

@@ -92,6 +92,21 @@ class TestTable:
             cli.main(["table", "--k", "zebra"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("k", ["", ",", "2,"])
+    def test_k_entry_naming_no_class_exits_2(self, capsys, k):
+        # an empty entry names no class: it is refused, not read as "every class"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["table", "--max", "20", "--k", k])
+        assert exc.value.code == 2
+        assert "error: bad value in --k: " in capsys.readouterr().err
+
+    def test_empty_k_variable_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("DIVRANK_K", "")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["table", "--max", "20"])
+        assert exc.value.code == 2
+        assert "error: bad value in environment variable DIVRANK_K: " in capsys.readouterr().err
+
     def test_json_shape(self, capsys, validator):
         code, out, _ = run_cli(capsys, "table", "--max", "100", "--format", "json")
         assert code == 0

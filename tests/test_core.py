@@ -18,7 +18,6 @@ from divrank import (
 )
 from divrank import core, theorems
 from divrank.classify import _class_key
-from divrank.core import rank_sums
 from conftest import ORACLE_LIMIT, oracle_divisors, oracle_factorize
 
 
@@ -135,9 +134,14 @@ def _oracle_rank_sums(ns, div_lists):
     return rows
 
 
+def _rows(lo, hi):
+    """Every kernel row over [lo, hi], in order: each rank_blocks block through block_rows."""
+    return [row for block in core.rank_blocks(lo, hi) for row in core.block_rows(block)]
+
+
 def _kernel(ns):
     return [(n, tau, d2 if n > 1 else None, se, so, paired)
-            for n, tau, d2, se, so, paired in rank_sums(ns[0], ns[-1])]
+            for n, tau, d2, se, so, paired in _rows(ns[0], ns[-1])]
 
 
 windows = st.integers(min_value=1, max_value=ORACLE_LIMIT).flatmap(
@@ -184,13 +188,13 @@ class TestRankSums:
     @settings(max_examples=40, deadline=None)
     def test_squares_match_the_block_kernel(self, lo, width):
         hi = lo + width
-        odd_tau = [row for row in rank_sums(lo, hi) if row[1] % 2]
+        odd_tau = [row for row in _rows(lo, hi) if row[1] % 2]
         assert list(theorems._squares(lo, hi)) == odd_tau
 
     def test_squares_below_the_kernel_bound_match_the_block_kernel(self):
         # 46340^2 and 46339^2, the two largest squares below 2^31
         lo, hi = core.KERNEL_BOUND - 2**18, core.KERNEL_BOUND - 1
-        odd_tau = [row for row in rank_sums(lo, hi) if row[1] % 2]
+        odd_tau = [row for row in _rows(lo, hi) if row[1] % 2]
         assert [row[0] for row in odd_tau] == [46339**2, 46340**2]
         assert list(theorems._squares(lo, hi)) == odd_tau
 
@@ -212,17 +216,17 @@ class TestRankSums:
         for n in ns:
             d = divisors_sorted(factorize(n))
             expected.append((n, len(d), d[1], sum(d[1::2]), sum(d[0::2]), _oracle_pairing(d)))
-        assert list(rank_sums(ns[0], ns[-1])) == expected
+        assert _rows(ns[0], ns[-1]) == expected
 
     def test_far_window_matches_divisor_expansion(self):
-        # one walk block of 2^14 n, converted to Python ints in two parts
+        # one walk block of 2^14 n, converted to Python ints in one part (block_rows takes 2^15)
         hi = 2**24 - 1
         ns = range(hi - 2**14 + 1, hi + 1)
         expected = []
         for n in ns:
             d = divisors_sorted(factorize(n))
             expected.append((n, len(d), d[1], sum(d[1::2]), sum(d[0::2]), _oracle_pairing(d)))
-        assert list(rank_sums(ns[0], ns[-1])) == expected
+        assert _rows(ns[0], ns[-1]) == expected
 
     def test_window_below_the_kernel_bound_matches_trial_division(self):
         # no SPF table reaches this far: the block sieves its own d_2
@@ -231,7 +235,7 @@ class TestRankSums:
         for n in ns:
             d = divisors_sorted(factorize(n))
             expected.append((n, len(d), d[1], sum(d[1::2]), sum(d[0::2]), _oracle_pairing(d)))
-        assert list(rank_sums(ns[0], ns[-1])) == expected
+        assert _rows(ns[0], ns[-1]) == expected
 
     @given(index_subsets)
     @settings(max_examples=40, deadline=None)
@@ -246,10 +250,13 @@ class TestRankSums:
         rows = list(core.block_rows(block))
         assert rows == expected
         assert {tuple(map(type, row)) for row in rows} == {(int,) * 5 + (bool,)}
+        # the columns the G_k task converts: n, sigma_e and sigma_o
+        n, tau, d2, se, so, paired = block
+        assert list(core.block_rows((n, se, so))) == [(m, e, o) for m, _, _, e, o, _ in expected]
 
     def test_refuses_n_beyond_int32(self):
         with pytest.raises(ValueError):
-            list(rank_sums(2**31 - 2, 2**31))
+            _rows(2**31 - 2, 2**31)
 
     def test_reciprocal_sum_is_odd_rank_sum_for_non_squares(self, oracle_div_lists):
         # n/d_i = d_{tau+1-i} maps even ranks onto odd ones when tau is even

@@ -38,7 +38,7 @@ from divrank import (
 )
 from divrank import cli, core, theorems
 from divrank.classify import enumerate_index_ratio, scan_range
-from divrank.core import is_prime, rank_blocks, rank_sums
+from divrank.core import block_rows, is_prime, rank_blocks
 from divrank.scanner import _TASKS, CHUNK_SIZE_DEFAULT
 from divrank.theorems import BOUNDED_EVIDENCE, _sigma_bounds_clauses
 from conftest import ORACLE_LIMIT, oracle_divisors, oracle_k
@@ -620,6 +620,11 @@ def _reference(rows):
     return out
 
 
+def _rows(lo, hi):
+    """Every kernel row over [lo, hi], in order: each rank_blocks block through block_rows."""
+    return [row for block in rank_blocks(lo, hi) for row in block_rows(block)]
+
+
 def _chunks(lo, hi):
     """Each dense check's (violating n, applicable) from its chunk task."""
     frags = {name: _TASKS[name][0](lo, hi) for name in DENSE_CHECKS}
@@ -634,7 +639,7 @@ class TestDenseMasks:
         hi = lo + width
         for block in rank_blocks(lo, hi):
             _assert_masks_exact(block)
-        assert _chunks(lo, hi) == _reference(rank_sums(lo, hi))
+        assert _chunks(lo, hi) == _reference(_rows(lo, hi))
 
     def test_window_ending_below_the_kernel_bound(self, monkeypatch):
         lo, hi = core.KERNEL_BOUND - 2**16, core.KERNEL_BOUND - 1
