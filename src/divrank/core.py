@@ -9,10 +9,12 @@ same way. numpy is imported on the kernel's first block (or by a pooled scan
 before it forks its workers), not with the module, so commands that touch no
 block (profile, and the multiplier, unit-fraction, prime-power-distinct,
 lower-bound and conjecture 3 checks) never load it. The block range scans
-sieve what they need per block; single-n calls, the squares scans' among them,
-factor by trial division. Rationals are stdlib ``fractions.Fraction``, which is
-always in canonical reduced form with a positive denominator and renders as
-"num/den" (eliding "/1").
+sieve what they need per block. Single-n calls, the squares scans' among them,
+take the (p, e) pairs of one trial-division helper, `_prime_pairs`, and one flat
+expansion, `_expand`, which `divisors_sorted` shares; `divisor_list_of` builds
+no Factorization (the 6,324 squares up to 4e7: 57 -> 40 ms, BENCH_pr18.json).
+Rationals are stdlib ``fractions.Fraction``, always in canonical reduced form
+with a positive denominator, which renders as "num/den" (eliding "/1").
 """
 
 from __future__ import annotations
@@ -112,39 +114,40 @@ def primes_upto(limit: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-def factorize(n: int) -> Factorization:
-    """Prime factorization by trial division; empty for n = 1.
-
-    A perfect square r^2 is factored through r, its exponents doubled: trial
-    division of r^2 itself would run up to the largest prime of r.
-    """
+def _prime_pairs(n: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of n, primes ascending, by trial division by 2, 3 and
+    6k +- 1; [] for n = 1. A perfect square r^2 is factored through r, its exponents
+    doubled: trial division of r^2 itself would run up to the largest prime of r."""
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     r = isqrt(n)
     if r > 1 and r * r == n:
-        return Factorization(n, tuple((p, 2 * e) for p, e in factorize(r).factors))
-    factors = []
+        return [(p, 2 * e) for p, e in _prime_pairs(r)]
+    pairs = []
     m = n
-    for p in (2, 3):
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors.append((p, e))
-    d = 5
-    while d * d <= m:
-        for p in (d, d + 2):
+    pair, d = (2, 3), 5  # then d, d + 2 = 6k -+ 1, stepped past pairs that divide nothing
+    while True:
+        for p in pair:
             if m % p == 0:
-                e = 0
+                m //= p
+                e = 1
                 while m % p == 0:
                     m //= p
                     e += 1
-                factors.append((p, e))
-        d += 6
+                pairs.append((p, e))
+        while d * d <= m and m % d and m % (d + 2):
+            d += 6
+        if d * d > m:
+            break
+        pair, d = (d, d + 2), d + 6
     if m > 1:
-        factors.append((m, 1))
-    return Factorization(n, tuple(factors))
+        pairs.append((m, 1))
+    return pairs
+
+
+def factorize(n: int) -> Factorization:
+    """Prime factorization by trial division (`_prime_pairs`); empty for n = 1."""
+    return Factorization(n, tuple(_prime_pairs(n)))
 
 
 # kept only for perfbench's setup_s until ROADMAP item 1 re-points that metric;
@@ -286,22 +289,27 @@ def _block_rank_sums(a, b):
     return n, tau, d2, sigma_e, sigma_o, paired
 
 
-def divisors_sorted(f: Factorization) -> list[int]:
-    """Ascending list of all divisors of f.n (mixed-radix expansion, then sort)."""
+def _expand(pairs) -> list[int]:
+    """Ascending divisors of the n with prime-exponent pairs `pairs`: a flat
+    mixed-radix expansion, one prime at a time, then a single sort."""
     divs = [1]
-    for p, e in f.factors:
-        base = len(divs)
-        pk = 1
+    for p, e in pairs:
+        powers = [1]
         for _ in range(e):
-            pk *= p
-            divs.extend(d * pk for d in divs[:base])
+            powers.append(powers[-1] * p)
+        divs = [d * q for q in powers for d in divs]
     divs.sort()
     return divs
 
 
+def divisors_sorted(f: Factorization) -> list[int]:
+    """Ascending divisors of f.n by `_expand`, the flat expansion divisor_list_of shares."""
+    return _expand(f.factors)
+
+
 def divisor_list_of(n: int) -> list[int]:
-    """Ascending divisors of n."""
-    return divisors_sorted(factorize(n))
+    """Ascending divisors of n: `_expand` of its `_prime_pairs`, with no Factorization built."""
+    return _expand(_prime_pairs(n))
 
 
 def rational_of(num: int, den: int = 1) -> Fraction:

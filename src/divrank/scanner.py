@@ -192,7 +192,7 @@ def run_scan(task, lo, hi, *, workers=1, chunk_size=CHUNK_SIZE_DEFAULT,
     if max_chunks is not None and not checkpoint:
         raise ValueError("max_chunks requires a checkpoint path to resume from")
     _, merge_fn, empty_fn = _TASKS[task]
-    digest = config_digest(task, lo, hi, chunk_size)
+    digest = config_digest(task, lo, hi, chunk_size) if checkpoint else None
 
     def end(a):
         return min(a + chunk_size - 1, hi)

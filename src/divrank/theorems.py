@@ -224,6 +224,8 @@ def check_multiplier(n: int, p: int, a: int) -> bool:
 
 def check_multiplier_chain(n: int, m_factorization: Factorization) -> bool:
     """k(n*m) = k(n) under the chained hypothesis base < p_i at every step."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if n == 1:
         raise Inapplicable("n = 1 has k = 0; the multiplier identity needs n >= 2")
     if is_perfect_square(n):
@@ -629,8 +631,8 @@ def _even_prime_powers(limit):
 
 def scan_prime_power_distinct(limit: int) -> ScanReport:
     """k(p^a) pairwise distinct over even a >= 2 with p^a <= limit."""
-    powers = _even_prime_powers(limit)
     t0 = time.perf_counter()
+    powers = _even_prime_powers(limit)
     seen: dict[Fraction, int] = {}
     violations = []
     for p, a in powers:
@@ -649,8 +651,8 @@ def scan_prime_power_distinct(limit: int) -> ScanReport:
 
 def scan_unit_fraction(limit: int) -> ScanReport:
     """Unit-fraction gap for every p^l <= limit with even l."""
-    powers = _even_prime_powers(limit)
     t0 = time.perf_counter()
+    powers = _even_prime_powers(limit)
     violations = []
     for p, l in powers:
         if not check_unit_fraction_gap(p, l):

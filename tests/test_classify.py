@@ -295,6 +295,15 @@ class TestCheckpoint:
             scan_range(1, 2000, checkpoint=str(path), max_chunks=max_chunks)
         assert not path.exists()
 
+    def test_config_digest_only_for_a_checkpoint(self, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr(scanner, "config_digest",
+                            lambda *args: calls.append(args) or config_digest(*args))
+        scan_range(1, 2000, chunk_size=500)
+        assert calls == []
+        scan_range(1, 2000, chunk_size=500, checkpoint=str(tmp_path / "scan.ck"))
+        assert calls == [("gk", 1, 2000, 500)]
+
     def test_config_mismatch_rejected(self, tmp_path):
         path = tmp_path / "ck.json"
         save_checkpoint(path, "gk", "abc123", 64, encode_fragment({"classes": {}}))

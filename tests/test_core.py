@@ -1,6 +1,7 @@
 from fractions import Fraction
 from functools import cache
-from math import isqrt
+from itertools import product
+from math import isqrt, prod
 
 import numpy as np
 import pytest
@@ -118,6 +119,59 @@ class TestDivisorsSorted:
     @settings(max_examples=80, deadline=None)
     def test_matches_oracle(self, n):
         assert divisors_sorted(factorize(n)) == oracle_divisors(n)
+
+
+def _expansion(pairs):
+    """Every divisor as one product of prime powers, sorted: no library expansion."""
+    return sorted(prod(p**k for (p, _), k in zip(pairs, ks))
+                  for ks in product(*(range(e + 1) for _, e in pairs)))
+
+
+def _oracle_row(n):
+    """The rank_blocks row of n from oracle_factorize and _expansion."""
+    d = _expansion(oracle_factorize(n))
+    return n, len(d), d[1] if n > 1 else 1, sum(d[1::2]), sum(d[0::2]), _oracle_pairing(d)
+
+
+class TestSingleNPastTheKernelBound:
+    """factorize, divisor_list_of and the squares' rows need no kernel bound."""
+
+    @pytest.mark.parametrize("r", [
+        46_349, 65_537, 999_979,  # prime roots
+        2**19, 3**12, 97**3, 997**2,  # prime-power roots
+        510_510, 720_720, 999_999,  # composite roots
+        991 * 997, 2 * 499_979,  # the largest prime of the root is above n^(1/4)
+    ])
+    def test_squares_up_to_1e12(self, r):
+        n = r * r
+        pairs = oracle_factorize(n)
+        assert factorize(n).factors == pairs
+        assert core.divisor_list_of(n) == divisors_sorted(factorize(n)) == _expansion(pairs)
+        assert list(theorems._squares(n, n)) == [_oracle_row(n)]
+
+    def test_highly_composite_near_1e12(self):
+        n = 963_761_198_400  # 2^6 3^4 5^2 7 11 13 17 19 23
+        divs = core.divisor_list_of(n)
+        assert len(divs) == factorize(n).tau == 6720
+        assert divs == divisors_sorted(factorize(n)) == _expansion(oracle_factorize(n))
+        assert core._rank_row(divs) == _oracle_row(n)
+
+    @given(st.integers(min_value=1, max_value=10**9))
+    @settings(max_examples=150, deadline=None)
+    def test_divisor_list_of_expands_factorize(self, n):
+        assert core.divisor_list_of(n) == divisors_sorted(factorize(n))
+
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_divisor_list_of_rejects_n_below_1(self, n):
+        with pytest.raises(ValueError, match=f"n >= 1, got {n}"):
+            core.divisor_list_of(n)
+
+    def test_squares_straddling_the_kernel_bound(self):
+        # the squares tasks walk no block, so _squares itself stops at no bound
+        lo, hi = core.KERNEL_BOUND - 2**20, core.KERNEL_BOUND + 2**20
+        rows = list(theorems._squares(lo, hi))
+        assert rows[0][0] < core.KERNEL_BOUND < rows[-1][0]
+        assert rows == [_oracle_row(r * r) for r in range(isqrt(lo - 1) + 1, isqrt(hi) + 1)]
 
 
 def _oracle_pairing(d):

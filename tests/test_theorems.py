@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import time
 import weakref
 from fractions import Fraction
 from functools import partial
@@ -260,6 +261,13 @@ class TestMultiplier:
             check_multiplier_chain(3, factorize(5 * 7))  # 3*5=15 > 7 at step 2
         assert exc.value.index == 2
 
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_chain_refuses_n_below_1(self, n):
+        # not "0 is a perfect square", nor isqrt's message for a negative n
+        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$") as exc:
+            check_multiplier_chain(n, factorize(7))
+        assert not isinstance(exc.value, Inapplicable)
+
     def test_sampled_scan(self):
         report = scan_multiplier(n_max=1000, samples=500, seed=2)
         assert report.status == "verified"
@@ -457,6 +465,17 @@ class TestReportShape:
         assert report.config["hi"] == 500
         assert report.config["chunk_size"] == 128
         assert report.config["sieve_limit"] == 500
+
+    @pytest.mark.parametrize("scan", [scan_unit_fraction, scan_prime_power_distinct])
+    def test_elapsed_ms_covers_the_prime_power_enumeration(self, monkeypatch, scan):
+        enumerate_powers = theorems._even_prime_powers
+
+        def slow(limit):
+            time.sleep(0.2)
+            return enumerate_powers(limit)
+
+        monkeypatch.setattr(theorems, "_even_prime_powers", slow)
+        assert scan(100).elapsed_ms >= 200
 
 
 def _untimed(result):
