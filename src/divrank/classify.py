@@ -3,7 +3,7 @@
 A GkTable maps each k, keyed as printed ("2", "9/5") by `_class_key` alone,
 to the ascending list of its members in a range; every n belongs to exactly
 one class. Index ratio numbers are the n whose k(n) is a nonnegative integer.
-"""
+A chunk groups each kernel block by class with np.gcd and a stable np.lexsort."""
 
 from __future__ import annotations
 
@@ -50,10 +50,18 @@ def _class_key(se, so):
 
 
 def _gk_chunk(lo, hi):
+    import numpy as np  # not with the module: commands that walk no block never load it
     classes: dict[str, list[int]] = {}
     for n, tau, d2, se, so, paired in rank_blocks(lo, hi):
-        for m, e, o in block_rows((n, se, so)):  # every row, only the columns it keys by
-            classes.setdefault(_class_key(e, o), []).append(m)
+        g = np.gcd(se, so)
+        e, o = se // g, so // g
+        order = np.lexsort((o, e))  # stable: members ascend inside each class
+        n, e, o = n[order], e[order], o[order]
+        start = np.flatnonzero(np.r_[True, (e[1:] != e[:-1]) | (o[1:] != o[:-1]), True])
+        runs = np.argsort(n[start[:-1]])  # one run per class, by its first member
+        first, members = start[:-1][runs], n.tolist()
+        for s, t, num, den in block_rows((first, start[1:][runs], e[first], o[first])):
+            classes.setdefault(_class_key(num, den), []).extend(members[s:t])
     return {"classes": classes}
 
 
@@ -86,6 +94,8 @@ def scan_range(lo: int, hi: int, *, workers: int = 1, chunk_size: int = CHUNK_SI
 
 def members_of_k(k: Fraction | int | str, limit: int, workers: int = 1) -> list[int]:
     """All n <= limit with k(n) = k, ascending."""
+    if limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
     return scan_range(1, limit, workers=workers).members(k)
 
 

@@ -9,12 +9,17 @@ Exit codes: 0 success/verified, 1 violations found, 2 usage or I/O error.
 Every setting can also come from a key=value config file (--config) or an
 environment variable (DIVRANK_<NAME>); command line wins, then environment,
 then file, and one parser reads its text from each.
+
+`main` runs each command with the cyclic garbage collector off, as do its forked
+pool workers, then restores the caller's setting: scan state, fragments, checkpoint
+lines and rendered rows form no cycles, so reference counting frees them all.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import os
@@ -438,10 +443,12 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    _refuse_chunk_flags(args.parser, args)
-    resolve_settings(args.parser, args)
+    enabled = gc.isenabled()
+    gc.disable()  # forked pool workers inherit this; see the module docstring
     try:
+        args = build_parser().parse_args(argv)
+        _refuse_chunk_flags(args.parser, args)
+        resolve_settings(args.parser, args)
         return args.func(args)
     except ScanInterrupted as exc:
         print(f"scan paused at n={exc.last_n}; rerun with the same flags to resume "
@@ -450,6 +457,9 @@ def main(argv=None):
     except (CheckpointError, OSError, ValueError) as exc:  # OSError: --out or --checkpoint
         print(f"divrank: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -195,7 +195,7 @@ def rank_blocks(lo, hi):
 
 
 def block_rows(block, at=None):
-    """The rows of one rank_blocks block (or of some of its columns) at the indices
+    """The rows of one rank_blocks block, or of arrays drawn from it, at the indices
     `at`, or every row when `at` is None, as tuples of Python ints and a bool."""
     count = len(block[0]) if at is None else len(at)
     for i in range(0, count, _BLOCK):  # bounds the int lists of a wide block

@@ -20,7 +20,8 @@ from divrank import (
     scan_range,
     scanner,
 )
-from divrank.classify import GkTable, _class_key
+from divrank.classify import GkTable, _class_key, _gk_chunk
+from divrank.core import KERNEL_BOUND, block_rows, rank_blocks
 from divrank.scanner import (
     config_digest,
     encode_fragment,
@@ -100,6 +101,43 @@ class TestScanRange:
 def _by_smallest_member(table):
     firsts = [members[0] for members in table.classes.values()]
     return all(a < b for a, b in zip(firsts, firsts[1:]))
+
+
+def _per_n_classes(lo, hi):
+    """The G_k fragment built one n at a time: `_class_key` of every block_rows row."""
+    classes = {}
+    for n, tau, d2, se, so, paired in rank_blocks(lo, hi):
+        for m, e, o in block_rows((n, se, so)):
+            classes.setdefault(_class_key(e, o), []).append(m)
+    return classes
+
+
+def _assert_grouped_equals_per_n(lo, hi):
+    grouped = _gk_chunk(lo, hi)["classes"]
+    assert list(grouped.items()) == list(_per_n_classes(lo, hi).items())  # keys, order, lists
+    return grouped
+
+
+class TestGroupedChunk:
+    """_gk_chunk groups each kernel block in numpy; it must give the fragment that
+    keying every n on its own gives, in the same dict order."""
+
+    @given(st.integers(min_value=1, max_value=10**7), st.integers(min_value=0, max_value=5000))
+    @settings(max_examples=40, deadline=None)
+    def test_windows(self, lo, width):
+        _assert_grouped_equals_per_n(lo, lo + width)
+
+    def test_default_chunk_over_two_blocks(self):
+        # [1, 65536] is walked as two 32,768-n blocks; classes with members in both
+        # extend the list the first block made
+        assert [len(block[0]) for block in rank_blocks(1, 1 << 16)] == [1 << 15, 1 << 15]
+        grouped = _assert_grouped_equals_per_n(1, 1 << 16)
+        spanning = [k for k, m in grouped.items() if m[0] <= 1 << 15 < m[-1]]
+        assert {"2", "9/5"} <= set(spanning)
+
+    @pytest.mark.parametrize("lo, hi", [(1, 1), (1, 2), (KERNEL_BOUND - 2**12, KERNEL_BOUND - 1)])
+    def test_edges(self, lo, hi):
+        _assert_grouped_equals_per_n(lo, hi)
 
 
 class TestClassOrder:
@@ -242,6 +280,12 @@ class TestPoolSize:
 
 
 class TestMembersOfK:
+    @pytest.mark.parametrize("scan", [lambda limit: members_of_k(2, limit),
+                                      enumerate_index_ratio], ids=["members_of_k", "irn"])
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_limit_below_1_refused_up_front(self, scan, limit):
+        with pytest.raises(ValueError, match=f"^limit must be >= 1, got {limit}$"):
+            scan(limit)
     def test_spec_rows_small(self):
         assert members_of_k(Fraction(2, 5), 1000) == [4]
         assert members_of_k("3/10", 1000) == [9]

@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -799,6 +800,17 @@ class TestSeamBytes:
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == SEAM_DIGESTS[argv]
 
 
+class TestCheckpointLogBytes:
+    def test_version_4_log_digest(self, capsys, tmp_path):
+        # the log as the per-n G_k chunk wrote it, before chunks grouped their blocks
+        ck = tmp_path / "t.ck"
+        code, _, err = run_cli(capsys, *TABLE, "--max", "300000", "--max-chunks", "2",
+                               "--checkpoint", str(ck))
+        assert (code, "scan paused at n=131072" in err) == (0, True)
+        assert hashlib.sha256(ck.read_bytes()).hexdigest() == \
+            "bbf8ff762b25fc08a66eb6c8ae6c8785e1d7f1c736d0daa1dae7b59a18d55ebb"
+
+
 # imports the module named first, runs the CLI command that follows, if any, and
 # then names on its last stderr line which of numpy and multiprocessing it loaded
 LOADED = """
@@ -867,3 +879,71 @@ class TestPooledScanInAFreshProcess:
         assert loaded == "multiprocessing numpy"
         assert resumed.stdout == run_cli(capsys, *POOLED[0], "--workers", "1")[1]
         assert not (tmp_path / "t.ck").exists()
+
+
+def _paused_and_resumed_table(tmp_path, chunks):
+    tmp_path.mkdir(exist_ok=True)
+    argv = [*TABLE, "--max", str(chunks * 4096), "--chunk-size", "4096", "--workers", "2",
+            "--checkpoint", str(tmp_path / f"{chunks}-chunks.ck"), "--format", "json"]
+    assert cli.main([*argv, "--max-chunks", str(chunks // 2)]) == 0
+    assert cli.main(argv) == 0
+
+
+SCANS = {
+    "table": lambda tmp_path, chunks: cli.main(
+        [*TABLE, "--max", str(chunks * 4096), "--chunk-size", "4096", "--format", "json"]),
+    "table paused and resumed": _paused_and_resumed_table,
+    "upper-bound": lambda tmp_path, chunks: cli.main(
+        [*UPPER_BOUND, "--max", str(chunks * 4096), "--chunk-size", "4096", "--format", "json"]),
+    "irn": lambda tmp_path, chunks: scanner.run_scan("irn", 1, chunks * 4096, chunk_size=4096),
+}
+
+
+class TestCollector:
+    """cli.main runs without the cyclic collector, so nothing a scan keeps or drops
+    may form a reference cycle: reference counting alone must free it."""
+
+    @staticmethod
+    def cyclic_garbage(scan):
+        """The objects left unreachable by `scan()` that only the collector frees."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            scan()
+            return gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("name", list(SCANS))
+    def test_scan_makes_no_cyclic_garbage(self, capsys, tmp_path, name):
+        scan = SCANS[name]
+        # a first pool run imports modules lazily (signal, socket), and the enum
+        # classes those imports build leave cyclic garbage once
+        for chunks in (2, 16):
+            scan(tmp_path / "warm", chunks)
+        few = self.cyclic_garbage(lambda: scan(tmp_path, 2))
+        many = self.cyclic_garbage(lambda: scan(tmp_path, 16))
+        capsys.readouterr()
+        assert many <= few
+
+    @pytest.mark.parametrize("argv, code", [
+        ((*TABLE, "--max", "100"), 0),
+        ((*TABLE, "--max", "300", "--chunk-size", "100", "--max-chunks", "1",
+          "--checkpoint", "{tmp}/t.ck"), 0),
+        ((*TABLE, "--max", "100", "--k", "2/0"), 2),
+        ((*TABLE, "--max", "100", "--checkpoint", "{tmp}/missing/t.ck"), 2),
+    ], ids=["finished", "paused", "bad --k", "bad checkpoint path"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+    def test_main_restores_the_callers_setting(self, capsys, tmp_path, argv, code, enabled):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        (gc.enable if enabled else gc.disable)()
+        try:
+            try:
+                got = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                got = exc.code
+            assert (got, gc.isenabled()) == (code, enabled)
+        finally:
+            gc.enable()
