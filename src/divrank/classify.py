@@ -52,7 +52,7 @@ def _class_key(se, so):
 def _gk_chunk(lo, hi):
     import numpy as np  # not with the module: commands that walk no block never load it
     classes: dict[str, list[int]] = {}
-    for n, tau, d2, se, so, paired in rank_blocks(lo, hi):
+    for n, tau, d2, se, so in rank_blocks(lo, hi):
         g = np.gcd(se, so)
         e, o = se // g, so // g
         order = np.lexsort((o, e))  # stable: members ascend inside each class
@@ -69,7 +69,7 @@ def _irn_chunk(lo, hi):
     """(n, tau, sigma_e, sigma_o) of each index ratio number in [lo, hi]: all that
     `irn` prints, so it never walks the kernel twice."""
     rows = []
-    for n, tau, d2, se, so, paired in rank_blocks(lo, hi):
+    for n, tau, d2, se, so in rank_blocks(lo, hi):
         rows += block_rows((n, tau, se, so), (se % so == 0).nonzero()[0])  # so >= 1
     return {"rows": rows}
 

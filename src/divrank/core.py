@@ -5,14 +5,16 @@ can never overflow or wrap. The one exception is the block rank-sum kernel,
 `rank_blocks`, which hands out numpy arrays (int64 sums, int32 d_2) and works
 only for n < KERNEL_BOUND = 2**31, where none of its values can outgrow its
 dtype; the dense range checks test those arrays with int64 masks bounded the
-same way. numpy is imported on the kernel's first block (or by a pooled scan
-before it forks its workers), not with the module, so commands that touch no
-block (profile, and the multiplier, unit-fraction, prime-power-distinct,
-lower-bound and conjecture 3 checks) never load it. The block range scans
-sieve what they need per block. Single-n calls, the squares scans' among them,
-take the (p, e) pairs of one trial-division helper, `_prime_pairs`, and one flat
-expansion, `_expand`, which `divisors_sorted` shares; `divisor_list_of` builds
-no Factorization (the 6,324 squares up to 4e7: 57 -> 40 ms, BENCH_pr18.json).
+same way. Its walk needs no rank parity for the sums, and walks the rank
+pairing only for the two checks that read it. numpy is imported on the
+kernel's first block (or by a pooled scan before it forks its workers), not
+with the module, so commands that touch no block (profile, and the multiplier,
+unit-fraction, prime-power-distinct, lower-bound and conjecture 3 checks) never
+load it. The block range scans sieve what they need per block. Single-n calls,
+the squares scans' among them, take the (p, e) pairs of one trial-division
+helper, `_prime_pairs`, and one flat expansion, `_expand`, which
+`divisors_sorted` shares; `divisor_list_of` builds no Factorization (the 6,324
+squares up to 4e7: 57 -> 40 ms, BENCH_pr18.json).
 Rationals are stdlib ``fractions.Fraction``, always in canonical reduced form
 with a positive denominator, which renders as "num/den" (eliding "/1").
 """
@@ -179,24 +181,25 @@ _BLOCK = 1 << 15
 KERNEL_BOUND = 2**31
 
 
-def rank_blocks(lo, hi):
-    """(n, tau, d_2, sigma_e, sigma_o, paired) as arrays over [lo, hi], block by block.
+def rank_blocks(lo, hi, pairs=False):
+    """(n, tau, d_2, sigma_e, sigma_o), and `paired` if `pairs`, as arrays over
+    [lo, hi], block by block.
 
     sigma_e/sigma_o sum the divisors of even/odd rank, d_2 is the smallest prime
     factor (1 at n = 1, which has no second divisor), and `paired` says
     d_2j = d_2 d_2j-1 for every j (never for a square). `paired` is bool, d_2
     int32 and the rest int64; every n must be below KERNEL_BOUND.
     """
-    # the walk makes about 25 numpy calls per d <= isqrt(hi), so a block of
-    # 16 isqrt(hi) n or more keeps that overhead near two calls per n
+    # the walk makes about 10 numpy calls per d <= isqrt(hi), 20 with pairs, so a
+    # block of 16 isqrt(hi) n or more keeps that overhead near one call per n
     width = max(_BLOCK, 16 * isqrt(max(hi, 0)))
     for a in range(lo, hi + 1, width):
-        yield _block_rank_sums(a, min(a + width - 1, hi))
+        yield _block_rank_sums(a, min(a + width - 1, hi), pairs)
 
 
 def block_rows(block, at=None):
     """The rows of one rank_blocks block, or of arrays drawn from it, at the indices
-    `at`, or every row when `at` is None, as tuples of Python ints and a bool."""
+    `at`, or every row when `at` is None, as tuples of Python ints (`paired` a bool)."""
     count = len(block[0]) if at is None else len(at)
     for i in range(0, count, _BLOCK):  # bounds the int lists of a wide block
         part = slice(i, i + _BLOCK) if at is None else at[i : i + _BLOCK]
@@ -204,14 +207,14 @@ def block_rows(block, at=None):
 
 
 def _rank_row(divs):
-    """The rank_blocks row, in Python ints, of the n whose ascending divisor list is `divs`."""
+    """The rank_blocks row with pairs, in Python ints, of the n whose divisors are `divs`."""
     tau = len(divs)
     d2 = divs[1] if tau > 1 else 1
     paired = tau % 2 == 0 and all(divs[i + 1] == d2 * divs[i] for i in range(0, tau, 2))
     return divs[-1], tau, d2, sum(divs[1::2]), sum(divs[0::2]), paired
 
 
-def _block_rank_sums(a, b):
+def _block_rank_sums(a, b, pairs=False):
     """rank_blocks arrays for [a, b] from one ascending walk over d <= isqrt(b).
 
     d_2 is sieved per block (the segmented sieve of Bays & Hudson, BIT 17,
@@ -219,73 +222,79 @@ def _block_rank_sums(a, b):
     from max(p^2, a), so each n ends with its smallest prime factor, or n
     itself when it is 1 or prime.
 
-    Each d updates the n it divides with d^2 <= n, so every n sees its small
-    divisors d_c in rank order c = 1, 2, ..., and a bool tracks the parity of
-    c. The walk sums d_c and n/d_c, over all c and over odd c. The large
-    divisor n/d_c has rank tau + 1 - c: of the other parity than c when tau is
-    even, of the same when n is a square, whose root is then counted twice.
-    Pairing only needs the small half: n/d maps pair (2j-1, 2j) onto
-    (tau+1-2j, tau+2-2j) with the same ratio, and the middle pair of
-    tau = 2 mod 4 is n = d_2 d_c^2.
+    Each d updates the n it divides with d^2 <= n, so every n sees its m small
+    divisors d_c in rank order c = 1, ..., m. The walk keeps m, the sum of
+    d_c + n/d_c, and, by x <- y_c - x, the alternating sums of y_c = d_c + n/d_c
+    and of y_c = d_c, which end as (-1)^(m+1) sum_c (-1)^(c+1) y_c: no step needs
+    the parity of c. The large divisor n/d_c has rank tau + 1 - c. For a
+    non-square, tau = 2m gives it the other parity from c, so sigma_o - sigma_e
+    alternates d_c - n/d_c. A square r^2 has tau = 2m - 1: n/d_c keeps the parity
+    of c, and the root d_m = r is counted twice. sigma_o is then
+    (sigma + sigma_o - sigma_e) / 2, exactly. With `pairs` the walk also tracks
+    the next rank's parity and the last d_c. Pairing only needs the small half:
+    n/d maps pair (2j-1, 2j) onto (tau+1-2j, tau+2-2j) with the same ratio, and
+    the middle pair of tau = 2 mod 4 is n = d_2 d_c^2.
     """
     import numpy as np  # once loaded, a dict lookup per block
 
     if b >= KERNEL_BOUND:
         raise ValueError(f"block kernel covers n < {KERNEL_BOUND}, got {b}")
     # each dtype holds its values for n < 2**31: d_2 <= n and d <= isqrt(n) < 2**16
-    # in int32; tau <= 1600, so count <= 800 in int16; the sums, all below
-    # sigma(n) < 2**34, in int64
+    # in int32; tau <= 1600, so m <= 800 in int16; in int64, d + n/d <= n + 1,
+    # total < sigma(n) + 2**16 < 2**34 + 2**16, |alt|, |alt_small| <= total, and
+    # |2 alt_small - alt| <= 3 total
     w = b - a + 1
     d2 = np.arange(a, b + 1, dtype=np.int32)
     for p in reversed(primes_upto(isqrt(b))):
         d2[max(p * p, -(-a // p) * p) - a :: p] = p
-    count = np.zeros(w, dtype=np.int16)
-    odd = np.ones(w, dtype=bool)  # the rank of the next small divisor is odd
-    small = np.zeros(w, dtype=np.int64)  # sum of d_c
-    small_odd = np.zeros(w, dtype=np.int64)  # sum of d_c over odd c
-    large = np.zeros(w, dtype=np.int64)  # sum of n/d_c
-    large_odd = np.zeros(w, dtype=np.int64)  # sum of n/d_c over odd c
-    last = np.ones(w, dtype=np.int32)
-    paired = np.ones(w, dtype=bool)
+    count = np.zeros(w, dtype=np.int16)  # m so far
+    total = np.zeros(w, dtype=np.int64)  # sum of d_c + n/d_c
+    alt = np.zeros(w, dtype=np.int64)  # alternating sum of d_c + n/d_c
+    alt_small = np.zeros(w, dtype=np.int64)  # alternating sum of d_c
+    if pairs:
+        odd = np.ones(w, dtype=bool)  # the rank of the next small divisor is odd
+        last = np.ones(w, dtype=np.int32)
+        paired = np.ones(w, dtype=bool)
     for d in range(1, isqrt(b) + 1):
         first = -(-max(a, d * d) // d) * d
         if first > b:
             continue
         view = slice(first - a, w, d)
-        q = np.arange(first // d, b // d + 1, dtype=np.int64)
-        o = odd[view]
-        # an even rank c needs d_c = d_2 d_(c-1), and d_2 d_(c-1) < d^2 < 2**31
-        paired[view] &= o | (d2[view] * last[view] == d)
-        u, v = small_odd[view], large_odd[view]
-        np.add(u, d, out=u, where=o)
-        np.add(v, q, out=v, where=o)
-        np.logical_not(o, out=o)  # o is a view: this flips odd[view] for the next rank
-        small[view] += d
-        large[view] += q
-        count[view] += 1
-        last[view] = d
+        plus = np.arange(d + first // d, d + b // d + 1, dtype=np.int64)  # d + n/d
+        t, u, v, c = total[view], alt[view], alt_small[view], count[view]
+        np.add(t, plus, out=t)
+        np.subtract(plus, u, out=u)
+        np.subtract(d, v, out=v)
+        np.add(c, 1, out=c)
+        if pairs:
+            o, ok, prev = odd[view], paired[view], last[view]
+            # an even rank c needs d_c = d_2 d_(c-1), and d_2 d_(c-1) < d^2 < 2**31
+            np.logical_and(ok, o | (d2[view] * prev == d), out=ok)
+            np.logical_not(o, out=o)
+            prev[...] = d
     roots = np.arange(isqrt(a - 1) + 1, isqrt(b) + 1, dtype=np.int64)
     at = roots * roots - a
-    square = np.zeros(w, dtype=bool)
-    square[at] = True
-    # the large divisors of odd and of even rank: n/d_c over even and over odd c,
-    # swapped for the squares
-    large -= large_odd
-    large[at], large_odd[at] = large_odd[at], large[at]
-    sigma_o = np.add(large, small_odd, out=large)
-    small -= small_odd
-    sigma_e = np.add(large_odd, small, out=large_odd)
-    del small, small_odd  # the block's peak memory comes after this
-    # a root d_c = n/d_c was counted twice, at rank c; odd[at] says c is even
-    sigma_o[at] -= np.where(odd[at], 0, roots)
-    sigma_e[at] -= np.where(odd[at], roots, 0)
+    # (-1)^(m+1) (sigma_o - sigma_e): 2 alt_small - alt, or alt - r at a square r^2
+    diff = alt_small
+    diff *= 2
+    diff -= alt
+    diff[at] = alt[at] - roots
+    del alt  # the block's peak memory comes after this, with n and tau
+    np.negative(diff, out=diff, where=count % 2 == 0)  # now sigma_o - sigma_e
+    total[at] -= roots  # now sigma
+    sigma_o = np.add(total, diff, out=diff)
+    sigma_o >>= 1
+    sigma_e = np.subtract(total, sigma_o, out=total)
     n = np.arange(a, b + 1, dtype=np.int64)
-    # a non-square has tau = 2 mod 4 iff its count is odd; the middle pair then
-    # holds iff n / d_c = d_2 d_c, where d_2 d_c <= n < 2**31
-    paired &= ~square & ((count % 2 == 0) | (n // last == d2 * last))
     tau = count.astype(np.int64)
     tau *= 2
-    tau -= square
+    tau[at] -= 1
+    if not pairs:
+        return n, tau, d2, sigma_e, sigma_o
+    # a non-square has tau = 2 mod 4 iff m is odd; the middle pair then holds
+    # iff n / d_m = d_2 d_m, where d_2 d_m <= n < 2**31
+    paired[at] = False
+    paired &= (count % 2 == 0) | (n // last == d2 * last)
     return n, tau, d2, sigma_e, sigma_o, paired
 
 

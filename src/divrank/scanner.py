@@ -173,6 +173,18 @@ def _same_shape(state, empty):
                for key, value in state.items())
 
 
+def _refuse_unwritable(path):
+    """OSError naming `path` unless save_checkpoint can write there. It runs before
+    any pool opens: a save that fails inside one can hang the pool's terminate()."""
+    probe = path if os.path.exists(path) else f"{path}.tmp"
+    try:
+        open(probe, "ab").close()
+    except OSError as exc:
+        raise OSError(exc.errno, f"cannot write checkpoint {path}: {exc.strerror}") from exc
+    if probe != path:
+        os.remove(probe)
+
+
 def run_scan(task, lo, hi, *, workers=1, chunk_size=CHUNK_SIZE_DEFAULT,
              checkpoint=None, max_chunks=None):
     """Run a registered task over [lo, hi]; returns the merged final state.
@@ -191,6 +203,8 @@ def run_scan(task, lo, hi, *, workers=1, chunk_size=CHUNK_SIZE_DEFAULT,
         raise ValueError("max_chunks must be >= 1")
     if max_chunks is not None and not checkpoint:
         raise ValueError("max_chunks requires a checkpoint path to resume from")
+    if checkpoint:
+        _refuse_unwritable(checkpoint)
     _, merge_fn, empty_fn = _TASKS[task]
     digest = config_digest(task, lo, hi, chunk_size) if checkpoint else None
 

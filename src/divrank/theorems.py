@@ -335,14 +335,14 @@ def check_unit_fraction_gap(p: int, l: int) -> bool:
 _TALLY = {"violations": [], "applicable": 0}
 
 
-def _dense_check(name, masks, check_row, empty=_TALLY):
+def _dense_check(name, masks, check_row, empty=_TALLY, pairs=False):
     """Register `name` as a dense check. Per kernel block of [max(lo, 2), hi], with
     (counted, suspect) = masks(*block), its chunk adds the rows `counted` flags to
     `applicable` and passes each row `suspect` flags to check_row(fragment, *row), in
-    Python ints."""
+    Python ints. A block has the `paired` column only if `pairs`."""
     def chunk(lo, hi):
         fragment = copy.deepcopy(empty)
-        for block in rank_blocks(max(lo, 2), hi):
+        for block in rank_blocks(max(lo, 2), hi, pairs=pairs):
             counted, suspect = masks(*block)
             fragment["applicable"] += int(counted.sum())
             for row in block_rows(block, suspect.nonzero()[0]):
@@ -353,7 +353,7 @@ def _dense_check(name, masks, check_row, empty=_TALLY):
     register_task(name, chunk, empty)
 
 
-def _upper_bound_masks(n, tau, d2, se, so, paired):
+def _upper_bound_masks(n, tau, d2, se, so):
     """The non-squares, and those where _upper_bound_holds is false: se d2 < so (d2^2 + 1)
     divided by d2 >= 1."""
     non_square = tau % 2 == 0
@@ -361,7 +361,7 @@ def _upper_bound_masks(n, tau, d2, se, so, paired):
     return non_square, non_square & (se - so * d2 > (so - 1) // d2)
 
 
-def _sigma_bounds_masks(n, tau, d2, se, so, paired):
+def _sigma_bounds_masks(n, tau, d2, se, so):
     """The non-squares, and those where a clause of _sigma_bounds_clauses is false."""
     non_square = tau % 2 == 0
     fails = _chain_fails(n, tau, se, so) | _tau_clause_fails(n, tau, se, so)
@@ -389,7 +389,7 @@ def _tau_clause_fails(n, tau, se, so):
                              | ((5 * se + so - 1) // so > 2 * n))))  # 5 se <= 2 n so
 
 
-def _conjecture1_masks(n, tau, d2, se, so, paired):
+def _conjecture1_masks(n, tau, d2, se, so):
     """Integer k, and integer k that breaks one of conjecture 1's three statements."""
     k = se // so  # so >= 1
     integer = se % so == 0
@@ -411,7 +411,7 @@ def _pairing_masks(n, tau, d2, se, so, paired, tau_cap):
     return integer & (k == d2), integer & ((k != d2) | ~paired)
 
 
-def _upper_bound_row(fragment, n, tau, d2, se, so, paired):
+def _upper_bound_row(fragment, n, tau, d2, se, so):
     if not _upper_bound_holds(d2, se, so):
         fragment["violations"].append({
             "n": n,
@@ -420,7 +420,7 @@ def _upper_bound_row(fragment, n, tau, d2, se, so, paired):
         })
 
 
-def _sigma_bounds_row(fragment, n, tau, d2, se, so, paired):
+def _sigma_bounds_row(fragment, n, tau, d2, se, so):
     clauses = _sigma_bounds_clauses(n, tau, se, so)
     bad = [name for name, ok in clauses.items() if not ok and name != "tau4_bullet"]
     if bad:
@@ -449,7 +449,7 @@ def _pairing_row(fragment, n, tau, d2, se, so, paired):
         })
 
 
-def _conjecture1_row(fragment, n, tau, d2, se, so, paired):
+def _conjecture1_row(fragment, n, tau, d2, se, so):
     k = se // so
     violations = fragment["violations"]
     if k != d2:
@@ -506,9 +506,10 @@ _dense_check("upper-bound", _upper_bound_masks, _upper_bound_row)
 register_task("lower-bound", _lower_bound_chunk, _TALLY)
 _dense_check("sigma-bounds", _sigma_bounds_masks, _sigma_bounds_row,
              {**_TALLY, "tau4_failures": []})
-_dense_check("pairing", partial(_pairing_masks, tau_cap=PAIRING_TAU_CAP), _pairing_row)
+_dense_check("pairing", partial(_pairing_masks, tau_cap=PAIRING_TAU_CAP), _pairing_row,
+             pairs=True)
 _dense_check("conjecture-1", _conjecture1_masks, _conjecture1_row)
-_dense_check("conjecture-2", partial(_pairing_masks, tau_cap=None), _pairing_row)
+_dense_check("conjecture-2", partial(_pairing_masks, tau_cap=None), _pairing_row, pairs=True)
 register_task("conjecture-3", _conjecture3_chunk, {"seen": {}})
 
 

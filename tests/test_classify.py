@@ -106,7 +106,7 @@ def _by_smallest_member(table):
 def _per_n_classes(lo, hi):
     """The G_k fragment built one n at a time: `_class_key` of every block_rows row."""
     classes = {}
-    for n, tau, d2, se, so, paired in rank_blocks(lo, hi):
+    for n, tau, d2, se, so in rank_blocks(lo, hi):
         for m, e, o in block_rows((n, se, so)):
             classes.setdefault(_class_key(e, o), []).append(m)
     return classes
@@ -347,6 +347,28 @@ class TestCheckpoint:
         assert calls == []
         scan_range(1, 2000, chunk_size=500, checkpoint=str(tmp_path / "scan.ck"))
         assert calls == [("gk", 1, 2000, 500)]
+
+    def test_unwritable_checkpoint_refused_before_the_pool(self, monkeypatch, tmp_path):
+        # an append that fails inside a worker pool can hang the pool's terminate()
+        import multiprocessing
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was built for an unwritable checkpoint")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        path = str(tmp_path / "missing" / "x.ck")
+        with pytest.raises(OSError) as refused:
+            run_scan("gk", 1, 4096, chunk_size=1024, workers=2, checkpoint=path, max_chunks=2)
+        assert f"cannot write checkpoint {path}:" in str(refused.value)
+        assert os.listdir(tmp_path) == []
+
+    def test_checkpoint_probe_changes_no_file(self, tmp_path):
+        path = tmp_path / "x.ck"
+        scanner._refuse_unwritable(str(path))
+        assert os.listdir(tmp_path) == []
+        path.write_bytes(b"log\n")
+        scanner._refuse_unwritable(str(path))
+        assert (os.listdir(tmp_path), path.read_bytes()) == (["x.ck"], b"log\n")
 
     def test_config_mismatch_rejected(self, tmp_path):
         path = tmp_path / "ck.json"

@@ -307,8 +307,8 @@ class TestIrn:
         walked = []
         kernel = core.rank_blocks
 
-        def counted(lo, hi):
-            for block in kernel(lo, hi):
+        def counted(lo, hi, pairs=False):
+            for block in kernel(lo, hi, pairs):
                 walked.append(len(block[0]))
                 yield block
 

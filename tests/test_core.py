@@ -189,8 +189,13 @@ def _oracle_rank_sums(ns, div_lists):
 
 
 def _rows(lo, hi):
-    """Every kernel row over [lo, hi], in order: each rank_blocks block through block_rows."""
-    return [row for block in core.rank_blocks(lo, hi) for row in core.block_rows(block)]
+    """Every kernel row with pairs over [lo, hi], in order: each rank_blocks block
+    through block_rows. The kernel's rows without pairs must be their first five columns."""
+    rows = [row for block in core.rank_blocks(lo, hi, pairs=True)
+            for row in core.block_rows(block)]
+    assert [row for block in core.rank_blocks(lo, hi) for row in core.block_rows(block)] == [
+        row[:5] for row in rows]
+    return rows
 
 
 def _kernel(ns):
@@ -208,7 +213,7 @@ WIDE_LO, WIDE = 5_000_000, 35_904
 @cache
 def _wide_block():
     """That block, and the row of each of its n by trial division."""
-    block = next(core.rank_blocks(WIDE_LO, WIDE_LO + 40_000))
+    block = next(core.rank_blocks(WIDE_LO, WIDE_LO + 40_000, pairs=True))
     return block, [core._rank_row(core.divisor_list_of(n)) for n in range(WIDE_LO, WIDE_LO + WIDE)]
 
 
@@ -309,8 +314,14 @@ class TestRankSums:
         assert list(core.block_rows((n, se, so))) == [(m, e, o) for m, _, _, e, o, _ in expected]
 
     def test_refuses_n_beyond_int32(self):
-        with pytest.raises(ValueError):
-            _rows(2**31 - 2, 2**31)
+        for pairs in (False, True):
+            with pytest.raises(ValueError):
+                list(core.rank_blocks(2**31 - 2, 2**31, pairs))
+
+    @pytest.mark.parametrize("lo, hi", [(1, 1), (1, 2), (2**31 - 1, 2**31 - 1)])
+    def test_edges_match_trial_division(self, lo, hi):
+        # n = 1 counts its root twice; 2^31 - 1 is the largest n the kernel takes
+        assert _rows(lo, hi) == [_oracle_row(n) for n in range(lo, hi + 1)]
 
     def test_reciprocal_sum_is_odd_rank_sum_for_non_squares(self, oracle_div_lists):
         # n/d_i = d_{tau+1-i} maps even ranks onto odd ones when tau is even

@@ -557,6 +557,7 @@ MASKS = {
     "conjecture-2": partial(theorems._pairing_masks, tau_cap=None),
     "pairing": partial(theorems._pairing_masks, tau_cap=theorems.PAIRING_TAU_CAP),
 }
+PAIRED_CHECKS = {"conjecture-2", "pairing"}  # their masks read the kernel's `paired` column
 
 
 # sigma_e next to which a verdict changes, from (n, tau, d_2, sigma_o); the
@@ -605,8 +606,11 @@ def _python_masks(n, tau, d2, se, so, paired):
 
 
 def _assert_masks_exact(block):
-    """Both masks of each check equal their predicates on every row of `block`."""
-    flagged = {name: [mask.tolist() for mask in masks(*block)] for name, masks in MASKS.items()}
+    """Both masks of each check equal their predicates on every row of `block`, a
+    kernel block with pairs; the other checks' masks get its first five columns."""
+    flagged = {name: [mask.tolist() for mask in masks(*(block if name in PAIRED_CHECKS
+                                                          else block[:5]))]
+               for name, masks in MASKS.items()}
     for i, row in enumerate(zip(*(column.tolist() for column in block))):
         for name, want in _python_masks(*row).items():
             assert (flagged[name][0][i], flagged[name][1][i]) == want, (name, row)
@@ -640,8 +644,9 @@ def _reference(rows):
 
 
 def _rows(lo, hi):
-    """Every kernel row over [lo, hi], in order: each rank_blocks block through block_rows."""
-    return [row for block in rank_blocks(lo, hi) for row in block_rows(block)]
+    """Every kernel row with pairs over [lo, hi], in order: each rank_blocks block
+    through block_rows."""
+    return [row for block in rank_blocks(lo, hi, pairs=True) for row in block_rows(block)]
 
 
 def _chunks(lo, hi):
@@ -651,25 +656,46 @@ def _chunks(lo, hi):
             for name, frag in frags.items()}
 
 
+class TestKernelPairs:
+    def test_only_the_pairing_checks_walk_pairs(self, monkeypatch):
+        # the pairing walk costs more than the sums' own: the other block tasks skip it
+        asked = {}
+        kernel = core.rank_blocks
+
+        def recorded(lo, hi, pairs=False):
+            asked.setdefault(task, set()).add(pairs)
+            return kernel(lo, hi, pairs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("divrank") and getattr(module, "rank_blocks", None) is kernel:
+                monkeypatch.setattr(module, "rank_blocks", recorded)
+        for task, (chunk, _, _) in _TASKS.items():
+            chunk(1, 1000)
+        assert asked == {"gk": {False}, "irn": {False}, "upper-bound": {False},
+                         "sigma-bounds": {False}, "conjecture-1": {False},
+                         "pairing": {True}, "conjecture-2": {True}}
+
+
 class TestDenseMasks:
     @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=0, max_value=3000))
     @settings(max_examples=40, deadline=None)
     def test_window_matches_python_predicates(self, lo, width):
         hi = lo + width
-        for block in rank_blocks(lo, hi):
+        for block in rank_blocks(lo, hi, pairs=True):
             _assert_masks_exact(block)
         assert _chunks(lo, hi) == _reference(_rows(lo, hi))
 
     def test_window_ending_below_the_kernel_bound(self, monkeypatch):
         lo, hi = core.KERNEL_BOUND - 2**16, core.KERNEL_BOUND - 1
-        blocks = list(rank_blocks(lo, hi))
+        blocks = list(rank_blocks(lo, hi, pairs=True))
         n, tau, d2 = blocks[-1][:3]
         assert (n[-1], tau[-1], d2[-1]) == (hi, 2, hi)  # 2^31 - 1 is prime: d_2 = n
         for block in blocks:
             _assert_masks_exact(block)
         rows = [row for block in blocks for row in zip(*(c.tolist() for c in block))]
-        # the chunk tasks read the blocks walked above
-        monkeypatch.setattr(theorems, "rank_blocks", lambda a, b: iter(blocks))
+        # the chunk tasks read the blocks walked above, `paired` only if they ask for it
+        monkeypatch.setattr(theorems, "rank_blocks", lambda a, b, pairs=False: iter(
+            blocks if pairs else [block[:5] for block in blocks]))
         found = _chunks(lo, hi)
         assert found == _reference(rows)
         assert {name: len(found[name][0]) for name in DENSE_CHECKS} == {
@@ -681,9 +707,9 @@ class TestDenseMasks:
         # dense-verify's peak RSS counts on never holding two blocks at once
         walked = []
 
-        def rank_blocks_watched(lo, hi):
+        def rank_blocks_watched(lo, hi, pairs=False):
             refs = []
-            for block in rank_blocks(lo, hi):  # rebinding drops this loop's hold on the last
+            for block in rank_blocks(lo, hi, pairs):  # rebinding drops this loop's hold on the last
                 assert all(ref() is None for ref in refs), f"block {len(walked)} is still held"
                 refs = [weakref.ref(column) for column in block]
                 walked.append(block[0][0])
@@ -697,7 +723,7 @@ class TestDenseMasks:
     def test_highly_composite_n_near_the_bound(self, n, tau):
         # tau and sigma(n)/n (5.24 and 5.20 here) near their largest below 2^31: the
         # values that bound the masks' sums and products
-        block = next(rank_blocks(n - 64, n + 64))
+        block = next(rank_blocks(n - 64, n + 64, pairs=True))
         at = 64
         assert (block[0][at], block[1][at]) == (n, tau)
         assert block[4][at] + block[3][at] > 5 * n
