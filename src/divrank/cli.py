@@ -18,12 +18,14 @@ lines and rendered rows form no cycles, so reference counting frees them all.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import gc
 import io
 import json
 import os
 import sys
+from itertools import islice
 
 from .classify import _class_key, scan_range
 from .core import CheckpointError, ScanInterrupted, parse_rational
@@ -240,18 +242,42 @@ def _class_csv(k, members):
     return f"{k},{len(members)},{first},{last}\n"
 
 
+_ONE_MEMBER_CSV = "%s,1,%d,%d\n"  # _class_csv of a class of one member
+
+
+_SLICE = 4096  # classes a json or csv table renders at a time
+
+
+def _table_slices(rows, one, render, sep):
+    """The text of `rows`, _SLICE classes at a time, `sep` between classes. Each slice
+    is one `%` of a template that holds `one` for a class of one member, its first and
+    its last, and the text `render(k, members)` of any other class, which has no "%":
+    keys and members are digits and "/"."""
+    rows = iter(rows)
+    while True:
+        template, fields = [], []
+        for k, members in islice(rows, _SLICE):
+            if len(members) == 1:
+                template.append(one)
+                fields += (k, members[0], members[0])
+            else:
+                template.append(render(k, members))
+        if not template:
+            return
+        yield sep.join(template) % tuple(fields)
+
+
 def render_table(table, filters, fmt):
     rows = [(k, table.classes.get(k, [])) for k in filters] if filters else table.classes.items()
     if fmt == "json":  # the bytes _json_text gives the payload, from a per-class template
-        classes = ",\n".join([_ONE_MEMBER_JSON % (k, members[0], members[0])
-                               if len(members) == 1 else _class_json(k, members)
-                               for k, members in rows])
-        classes = f"[\n{classes}\n  ]" if classes else "[]"
-        return (f'{{\n  "kind": "table",\n  "lo": {table.lo},\n  "hi": {table.hi},\n'
-                f'  "classes": {classes}\n}}\n')
+        text = [f'{{\n  "kind": "table",\n  "lo": {table.lo},\n  "hi": {table.hi},\n  "classes": ']
+        for piece in _table_slices(rows, _ONE_MEMBER_JSON, _class_json, ",\n"):
+            text += (",\n" if len(text) > 1 else "[\n", piece)
+        text.append("\n  ]\n}\n" if len(text) > 1 else "[]\n}\n")
+        return "".join(text)
     if fmt == "csv":  # the bytes _csv_text gives the rows, from a per-class template
-        classes = "".join([_class_csv(k, members) for k, members in rows])
-        return "k,count,first_members,last_members\n" + classes
+        return "".join(["k,count,first_members,last_members\n",
+                        *_table_slices(rows, _ONE_MEMBER_CSV, _class_csv, "")])
     lines = [f"G_k members in [{table.lo}, {table.hi}]"]
     width = max((len(k) for k, _ in rows), default=1)
     for k, members in rows:
@@ -325,13 +351,17 @@ def render_irn(limit, rows, fmt):
     return ", ".join(map(str, members)) + "\n"
 
 
+_EMIT_SLICE = 1 << 20  # characters emit encodes and writes at a time
+
+
 def emit(text, out_path):
+    """Write `text` to `out_path`, or else to stdout, a slice at a time, so that no
+    encoded copy of the whole text is made."""
+    with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
+        for start in range(0, len(text), _EMIT_SLICE):
+            fh.write(text[start:start + _EMIT_SLICE])
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
         print(f"wrote {out_path}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,22 @@ fragment, once, as the compact JSON its log line holds. run_scan alone folds
 fragments into state, the resumed ones first, and only in a call that finishes
 the scan: a run that `max_chunks` pauses appends its chunks' lines and decodes
 none of them, and load_checkpoint decodes a log's lines only to validate them.
+
+A resumed log's header is checked before any chunk runs, so a log of another
+version, task or configuration is refused before any pool opens. The pool then
+gets the chunks left, and the resumed lines are decoded and checked while the
+workers compute. At most 2 x workers chunks are handed out ahead of the fold.
+On any raise, Ctrl-C included, the scan hands out no more chunks, and close()
+and join() wait for those in flight; no path calls the pool's terminate().
+Workers ignore SIGINT, so only the parent sees Ctrl-C.
 """
 
 from __future__ import annotations
 
-import contextlib
 import copy
-import hashlib
 import json
 import os
+import threading
 
 from .core import KERNEL_BOUND, CheckpointError, ScanInterrupted
 
@@ -74,7 +81,27 @@ def _run_chunk(args):
     return encode_fragment(fragment) if encode else fragment
 
 
+def _ignore_sigint():
+    """A pool worker's initializer: Ctrl-C reaches only the parent, which stops the pool."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _handed_out(jobs, window, stop):
+    """`jobs`, each handed out only once it takes a slot of `window`, which the scan
+    gives back as it folds a chunk: at most the window's size run ahead of the fold.
+    After `stop` is set, no job is handed out."""
+    for job in jobs:
+        window.acquire()
+        if stop.is_set():
+            return
+        yield job
+
+
 def config_digest(task: str, lo: int, hi: int, chunk_size: int) -> str:
+    import hashlib  # here and below: a scan without a checkpoint never loads it
+
     blob = json.dumps(
         {"task": task, "lo": lo, "hi": hi, "chunk_size": chunk_size},
         sort_keys=True,
@@ -85,6 +112,8 @@ def config_digest(task: str, lo: int, hi: int, chunk_size: int) -> str:
 def _chunk_line(last_n, body):
     """One chunk's log line, its fragment's encoded `body` written last, so that
     the digest covers exactly the bytes load_checkpoint reads back."""
+    import hashlib
+
     head = json.dumps({"last_n": last_n, "sha256": hashlib.sha256(body).hexdigest()},
                       separators=(",", ":"))
     return b"".join((head[:-1].encode(), _FRAGMENT_KEY, body, b"}\n"))
@@ -112,24 +141,41 @@ def save_checkpoint(path, task, config_hash, last_n, body):
     os.replace(f"{path}.tmp", path)
 
 
+class _Resumed:
+    """The chunk lines of a log whose header load_checkpoint has checked: len()
+    counts them without decoding any, and one pass yields their fragments."""
+
+    def __init__(self, count, fragments):
+        self.count, self.fragments = count, fragments
+
+    def __len__(self):
+        return self.count
+
+    def __iter__(self):
+        return self.fragments
+
+
 def load_checkpoint(path, task, config_hash, chunk_ends=()):
     """The validated fragments, in chunk order, of the log save_checkpoint appends to.
 
-    Line i + 1 must hold chunk i: a fragment of the task's shape, its digest, and
-    as last_n the i-th of `chunk_ends`, the scan's chunk ends in order. An
-    unterminated last line is a torn append: once the rest validates, it is cut
-    off, and its chunk is recomputed.
+    The log is read, and its header checked, at the call: a log of another version,
+    task or configuration is refused before any chunk runs. Its chunk lines are
+    decoded and checked as the result is iterated, once. Line i + 1 must hold chunk
+    i: a fragment of the task's shape, its digest, and as last_n the i-th of
+    `chunk_ends`, the scan's chunk ends in order. An unterminated last line is a
+    torn append: once the rest validates, it is cut off, and its chunk is recomputed.
     """
+    import hashlib
+
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            raw = fh.read()  # each line is cut out of this one buffer, as it is reached
     except OSError as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     whole = raw.rfind(b"\n") + 1  # the end of the last complete line
-    head, _, rest = raw[:whole].partition(b"\n")
-    lines = rest.split(b"\n")[:-1]
+    first = raw.find(b"\n", 0, whole) + 1  # the first chunk line's start; 0 if none is whole
     try:
-        doc = json.loads(head)
+        doc = json.loads(raw[:max(first - 1, 0)])
     except ValueError as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("version") != CHECKPOINT_VERSION:
@@ -138,30 +184,38 @@ def load_checkpoint(path, task, config_hash, chunk_ends=()):
         raise CheckpointError(f"checkpoint {path} belongs to task {doc.get('task')!r}, not {task!r}")
     if doc.get("config_hash") != config_hash:
         raise CheckpointError(f"checkpoint {path} was written under a different configuration")
-    empty, fragments, ends = _TASKS[task][2](), [], iter(chunk_ends)
-    for chunks, line in enumerate(lines, 1):
-        where = f"checkpoint {path} line {chunks + 1}"
-        prefix, key, body = line[:-1].partition(_FRAGMENT_KEY)
-        try:
-            doc, fragment = json.loads(prefix + b"}"), json.loads(body)
-        except ValueError:
+    count = raw.count(b"\n", first, whole)  # a one-line log holds no chunk line
+
+    def fragments():
+        empty, ends, line = _TASKS[task][2](), iter(chunk_ends), first
+        for chunks in range(1, count + 1):
+            where = f"checkpoint {path} line {chunks + 1}"
+            stop = raw.index(b"\n", line)
+            cut = raw.find(_FRAGMENT_KEY, line, stop - 1)
             doc = fragment = None
-        # type(), not isinstance(): JSON true would pass as the int 1
-        if not (key and line.endswith(b"}") and type(doc) is dict
-                and doc.keys() == {"last_n", "sha256"} and type(doc["last_n"]) is int
-                and _same_shape(fragment, empty)):
-            raise CheckpointError(f"{where} has a malformed last_n or fragment")
-        # an edited fragment can keep its shape yet change the result (a forged violation)
-        if hashlib.sha256(body).hexdigest() != doc["sha256"]:
-            raise CheckpointError(f"{where} has a malformed fragment (digest mismatch)")
-        expected = next(ends, None)  # a duplicated, skipped or reordered line misses it
-        if doc["last_n"] != expected:
-            raise CheckpointError(f"{where} ends chunk {chunks} at n={doc['last_n']}, "
-                                  f"not at n={expected}: its chunks are out of order")
-        fragments.append(fragment)
-    if whole < len(raw):
-        os.truncate(path, whole)
-    return fragments
+            if cut >= 0 and raw.endswith(b"}", line, stop):
+                body = raw[cut + len(_FRAGMENT_KEY):stop - 1]
+                try:
+                    doc, fragment = json.loads(raw[line:cut] + b"}"), json.loads(body)
+                except ValueError:
+                    pass
+            # type(), not isinstance(): JSON true would pass as the int 1
+            if not (type(doc) is dict and doc.keys() == {"last_n", "sha256"}
+                    and type(doc["last_n"]) is int and _same_shape(fragment, empty)):
+                raise CheckpointError(f"{where} has a malformed last_n or fragment")
+            # an edited fragment can keep its shape yet change the result (a forged violation)
+            if hashlib.sha256(body).hexdigest() != doc["sha256"]:
+                raise CheckpointError(f"{where} has a malformed fragment (digest mismatch)")
+            expected = next(ends, None)  # a duplicated, skipped or reordered line misses it
+            if doc["last_n"] != expected:
+                raise CheckpointError(f"{where} ends chunk {chunks} at n={doc['last_n']}, "
+                                      f"not at n={expected}: its chunks are out of order")
+            yield fragment
+            line = stop + 1
+        if whole < len(raw):
+            os.truncate(path, whole)
+
+    return _Resumed(count, fragments())
 
 
 def _same_shape(state, empty):
@@ -175,7 +229,7 @@ def _same_shape(state, empty):
 
 def _refuse_unwritable(path):
     """OSError naming `path` unless save_checkpoint can write there. It runs before
-    any pool opens: a save that fails inside one can hang the pool's terminate()."""
+    any pool opens, so a path that cannot be written costs no chunk."""
     probe = path if os.path.exists(path) else f"{path}.tmp"
     try:
         open(probe, "ab").close()
@@ -213,36 +267,43 @@ def run_scan(task, lo, hi, *, workers=1, chunk_size=CHUNK_SIZE_DEFAULT,
 
     # chunk starts as a range, sliced and counted without listing a chunk
     starts = range(lo, hi + 1, chunk_size)
-    resumed = []
-    if checkpoint and os.path.exists(checkpoint):
+    resumed = ()
+    if checkpoint and os.path.exists(checkpoint):  # its header is checked here, its lines below
         resumed = load_checkpoint(checkpoint, task, digest, map(end, starts))
     left = starts[len(resumed):]  # empty when a resumed scan had finished: it still cleans up
     todo = left if max_chunks is None else left[:max_chunks]
     pausing = len(todo) < len(left)  # its state would be discarded: fold nothing
-    state = empty_fn()
-    if not pausing:
-        for frag in resumed:
-            state = merge_fn(state, frag)
-    del resumed  # the folded state holds their lists; drop the rest before the jobs
 
-    jobs = ((task, a, end(a), bool(checkpoint)) for a in todo)
     workers = min(workers, len(todo))  # no more processes than chunks left to run
-    parallel = workers > 1
-    if parallel:  # only a pooled scan loads these
+    window, stop = threading.Semaphore(2 * max(workers, 1)), threading.Event()
+    jobs = _handed_out(((task, a, end(a), bool(checkpoint)) for a in todo), window, stop)
+    pool = None
+    if workers > 1:  # only a pooled scan loads these
         import multiprocessing
 
         # imported once before the fork, numpy is inherited by every worker: two
         # workers importing it at once took longer than one import (2-vCPU host)
         import numpy  # noqa: F401
-    with multiprocessing.Pool(workers) if parallel else contextlib.nullcontext() as pool:
-        frags = pool.imap(_run_chunk, jobs) if parallel else map(_run_chunk, jobs)
+
+        pool = multiprocessing.Pool(workers, _ignore_sigint)
+    try:
+        frags = map(_run_chunk, jobs) if pool is None else pool.imap(_run_chunk, jobs)
+        state = empty_fn()
+        for frag in resumed:  # decoded and checked while the pool computes the chunks left
+            if not pausing:
+                state = merge_fn(state, frag)
         for a, frag in zip(todo, frags):
             if checkpoint:  # frag holds the line's encoded body
                 save_checkpoint(checkpoint, task, digest, end(a), frag)
-                if pausing:
-                    continue
-                frag = json.loads(frag)
-            state = merge_fn(state, frag)
+            if not pausing:
+                state = merge_fn(state, json.loads(frag) if checkpoint else frag)
+            window.release()
+    finally:  # on a raise too: hand out no more chunks, and wait only for those handed out
+        stop.set()
+        window.release()
+        if pool is not None:
+            pool.close()
+            pool.join()
 
     if pausing:
         raise ScanInterrupted(checkpoint, end(todo[-1]))

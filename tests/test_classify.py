@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -243,14 +244,14 @@ class _RecordingPool:
     def __init__(self, sizes, processes):
         sizes.append(processes)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
     def imap(self, fn, jobs):
         return map(fn, jobs)
+
+    def close(self):
+        pass
+
+    def join(self):
+        pass
 
 
 class TestPoolSize:
@@ -260,7 +261,7 @@ class TestPoolSize:
 
         sizes = []
         monkeypatch.setattr(multiprocessing, "Pool",
-                            lambda processes: _RecordingPool(sizes, processes))
+                            lambda processes, *args: _RecordingPool(sizes, processes))
         return sizes
 
     def test_no_more_processes_than_chunks(self, sizes):
@@ -270,6 +271,11 @@ class TestPoolSize:
         assert run_scan("gk", 1, 256, workers=64, chunk_size=256) == run_scan("gk", 1, 256)
         assert sizes == [4, 3]  # one chunk runs in-process
 
+    def test_fewer_than_one_worker_runs_in_process(self, sizes):
+        straight = run_scan("gk", 1, 1024, chunk_size=256)
+        assert run_scan("gk", 1, 1024, workers=0, chunk_size=256) == straight
+        assert sizes == []
+
     def test_a_resumed_scan_sizes_to_the_chunks_left(self, sizes, tmp_path):
         path = str(tmp_path / "gk.ck")
         with pytest.raises(ScanInterrupted):
@@ -277,6 +283,154 @@ class TestPoolSize:
         resumed = run_scan("gk", 1, 1024, workers=64, chunk_size=256, checkpoint=path)
         assert resumed == run_scan("gk", 1, 1024, chunk_size=256)
         assert sizes == [3]
+
+
+def _paused_log(path, chunks=3):
+    """A gk log over [1, 16 * 1024] in 1024-n chunks, paused after `chunks` of them."""
+    with pytest.raises(ScanInterrupted):
+        run_scan("gk", 1, 16 * 1024, chunk_size=1024, checkpoint=str(path), max_chunks=chunks)
+    return path.read_bytes()
+
+
+def _version_3_log(path):
+    # version 3 was one line holding the whole state; its one line is its header
+    head, line = map(json.loads, path.read_text().splitlines()[:2])
+    path.write_text(json.dumps({**head, "version": 3, "last_n": line["last_n"],
+                                "state": line["fragment"]}) + "\n")
+
+
+class TestPoolStops:
+    """A pooled scan opens its pool only after the log's header passes, hands out at
+    most 2 x workers chunks ahead of the fold, and stops by close() and join() alone."""
+
+    @pytest.fixture
+    def terminated(self, monkeypatch):
+        import multiprocessing.pool
+
+        calls, terminate = [], multiprocessing.pool.Pool.terminate
+
+        def record(pool):
+            calls.append(pool)
+            terminate(pool)
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", record)
+        return calls
+
+    @pytest.mark.parametrize("edit, resume, refusal", [
+        (_version_3_log, {}, "unsupported checkpoint version"),
+        (None, {"task": "irn"}, "belongs to task 'gk', not 'irn'"),
+        (None, {"hi": 16 * 1024 + 1}, "different configuration"),
+    ], ids=["version 3", "task", "config"])
+    def test_header_refused_before_the_pool(self, monkeypatch, tmp_path, edit, resume, refusal):
+        import multiprocessing
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was built for a log whose header fails")
+
+        path = tmp_path / "gk.ck"
+        _paused_log(path)
+        if edit:
+            edit(path)
+        log = path.read_bytes()
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        scan = {"task": "gk", "lo": 1, "hi": 16 * 1024, **resume}
+        with pytest.raises(CheckpointError, match=refusal):
+            run_scan(**scan, chunk_size=1024, workers=2, checkpoint=str(path))
+        assert path.read_bytes() == log
+
+    def test_line_refused_after_the_chunks_were_handed_out(self, monkeypatch, tmp_path,
+                                                           terminated):
+        import multiprocessing
+        import threading
+
+        from divrank import cli
+
+        path = tmp_path / "gk.ck"
+        head, first, second, third = _paused_log(path).splitlines(keepends=True)
+        doc = json.loads(third)
+        doc["sha256"] = "0" * 64
+        log = head + first + second + json.dumps(doc, separators=(",", ":")).encode() + b"\n"
+        path.write_bytes(log)
+
+        # the log's lines are checked only once the pool has taken a chunk
+        handed, gate, load = threading.Event(), scanner._handed_out, scanner.load_checkpoint
+
+        def hand_out(*args):
+            for job in gate(*args):
+                handed.set()
+                yield job
+
+        def load_after_hand_out(*args):
+            resumed = load(*args)
+
+            def fragments():
+                assert handed.wait(30)
+                yield from resumed
+            return scanner._Resumed(len(resumed), fragments())
+
+        monkeypatch.setattr(scanner, "_handed_out", hand_out)
+        monkeypatch.setattr(scanner, "load_checkpoint", load_after_hand_out)
+        argv = ["table", "--max", str(16 * 1024), "--chunk-size", "1024", "--workers", "2",
+                "--checkpoint", str(path)]
+        assert cli.main(argv) == 2
+        assert handed.is_set()
+        assert path.read_bytes() == log
+        assert multiprocessing.active_children() == []
+        assert terminated == []
+
+    @pytest.mark.parametrize("fault", ["save_checkpoint", "merge"])
+    def test_raise_in_the_parent_stops_without_terminate(self, monkeypatch, tmp_path,
+                                                         terminated, fault):
+        import multiprocessing
+
+        def fail(*args):
+            raise OSError("injected")
+
+        if fault == "merge":
+            chunk_fn, _, empty_fn = scanner._TASKS["gk"]
+            monkeypatch.setitem(scanner._TASKS, "gk", (chunk_fn, fail, empty_fn))
+        else:
+            monkeypatch.setattr(scanner, fault, fail)
+        with pytest.raises(OSError, match="injected"):
+            run_scan("gk", 1, 16 * 1024, chunk_size=1024, workers=2,
+                     checkpoint=str(tmp_path / "gk.ck"))
+        assert multiprocessing.active_children() == []
+        assert terminated == []
+
+    def test_finished_and_paused_scans_call_no_terminate(self, tmp_path, terminated):
+        path = str(tmp_path / "gk.ck")
+        straight = run_scan("gk", 1, 16 * 1024, chunk_size=1024)
+        assert run_scan("gk", 1, 16 * 1024, chunk_size=1024, workers=2) == straight
+        with pytest.raises(ScanInterrupted):
+            run_scan("gk", 1, 16 * 1024, chunk_size=1024, workers=2, checkpoint=path,
+                     max_chunks=5)
+        resumed = run_scan("gk", 1, 16 * 1024, chunk_size=1024, workers=2, checkpoint=path)
+        assert resumed == straight
+        assert terminated == []
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_at_most_twice_the_workers_ahead_of_the_fold(self, monkeypatch, workers):
+        straight = run_scan("gk", 1, 40 * 256, chunk_size=256)
+        handed, folded, ahead, gate = [], [], [], scanner._handed_out
+
+        def hand_out(*args):  # runs on the pool's task thread, as fast as the gate lets it
+            for job in gate(*args):
+                handed.append(job)
+                yield job
+
+        chunk_fn, merge_fn, empty_fn = scanner._TASKS["gk"]
+
+        def fold(state, fragment):
+            ahead.append(len(handed) - len(folded))
+            time.sleep(0.01)  # a slow fold: the workers could run far ahead of it
+            folded.append(fragment)
+            return merge_fn(state, fragment)
+
+        monkeypatch.setattr(scanner, "_handed_out", hand_out)
+        monkeypatch.setitem(scanner._TASKS, "gk", (chunk_fn, fold, empty_fn))
+        assert run_scan("gk", 1, 40 * 256, chunk_size=256, workers=workers) == straight
+        assert len(handed) == len(folded) == 40
+        assert max(ahead) == 2 * workers
 
 
 class TestMembersOfK:

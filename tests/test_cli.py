@@ -8,6 +8,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -212,6 +213,59 @@ class TestTableCsvTemplate:
     def test_no_classes(self):
         table = GkTable(1, 0, {})
         assert cli.render_table(table, (), "csv") == csv_writer_table(table)
+
+
+# a multi-member class first, last, and on both sides of each boundary of the
+# 4,096-class slices the json and csv tables render at a time
+SLICED_CLASSES = 2 * 4096 + 3
+MULTI_AT = (0, 4095, 4096, 8191, 8192, SLICED_CLASSES - 1)
+
+
+def sliced_table():
+    classes = {}
+    for i in range(SLICED_CLASSES):
+        count = 2 + i % 20 if i in MULTI_AT else 1  # 2 to 18 members
+        classes[f"{i + 1}/{i + 2}" if i % 2 else str(i + 1)] = list(range(i * 100 + 1, i * 100 + 1 + count))
+    return GkTable(1, SLICED_CLASSES * 100, classes)
+
+
+class TestTableSlices:
+    @pytest.mark.parametrize("fmt, reference", [
+        ("json", lambda table, filters: indent2_table(table, filters)),
+        ("csv", lambda table, filters: csv_writer_table(table, filters)),
+    ], ids=["json", "csv"])
+    @pytest.mark.parametrize("filtered", [False, True], ids=["every class", "filters"])
+    def test_matches_the_reference(self, fmt, reference, filtered):
+        table = sliced_table()
+        # filters past a slice boundary, absent keys among them
+        filters = [*reversed(table.classes), "0/7", "1/1000"] if filtered else ()
+        assert cli.render_table(table, filters, fmt) == reference(table, filters)
+
+    @pytest.mark.parametrize("members", [1, 9], ids=["all one-member", "all multi-member"])
+    def test_runs_of_one_kind(self, members):
+        table = GkTable(1, 10**7, {str(i): list(range(i, i + members))
+                                   for i in range(1, 4096 * 2 + 2)})
+        assert cli.render_table(table, (), "json") == indent2_table(table)
+        assert cli.render_table(table, (), "csv") == csv_writer_table(table)
+
+
+# a text of a little over 3 MiB, every line of it different
+LONG_TEXT = "".join(f"{i},{i * i}\n" for i in range(280_000))
+
+
+class TestEmitSlices:
+    def test_long_text_to_stdout(self):
+        assert len(LONG_TEXT) > 3 << 20
+        proc = run_fresh("import sys; from divrank import cli; cli.emit(sys.stdin.read(), None)",
+                         input=LONG_TEXT.encode())
+        assert proc.returncode == 0
+        assert proc.stdout == LONG_TEXT.encode()
+
+    def test_long_text_to_out(self, tmp_path, capsys):
+        out = tmp_path / "t.txt"
+        cli.emit(LONG_TEXT, str(out))
+        assert out.read_bytes() == LONG_TEXT.encode()
+        assert capsys.readouterr().err == f"wrote {out}\n"
 
 
 class TestVerifyAndScan:
@@ -485,12 +539,15 @@ sys.exit(cli.main(sys.argv[1:]))
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
-def run_fresh(script, *argv, text=False):
+def fresh_env():
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+
+def run_fresh(script, *argv, text=False, input=None):
     """`script` run with `argv` by a fresh interpreter that imports divrank from SRC."""
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
-                          capture_output=True, text=text, timeout=120)
+    return subprocess.run([sys.executable, "-c", script, *argv], env=fresh_env(),
+                          capture_output=True, text=text, timeout=120, input=input)
 
 
 UNCHUNKED = ["multiplier", "prime-power-distinct", "unit-fraction"]
@@ -812,7 +869,7 @@ class TestCheckpointLogBytes:
 
 
 # imports the module named first, runs the CLI command that follows, if any, and
-# then names on its last stderr line which of numpy and multiprocessing it loaded
+# then names on its last stderr line which of hashlib, numpy and multiprocessing it loaded
 LOADED = """
 import importlib, sys
 importlib.import_module(sys.argv[1])
@@ -820,15 +877,17 @@ code = 0
 if sys.argv[2:]:
     from divrank import cli
     code = cli.main(sys.argv[2:])
-print(" ".join(sorted({"numpy", "multiprocessing"} & set(sys.modules))), file=sys.stderr)
+print(" ".join(sorted({"hashlib", "numpy", "multiprocessing"} & set(sys.modules))),
+      file=sys.stderr)
 sys.exit(code)
 """
 
 
-def loaded_by(*argv):
+def loaded_by(*argv, names=("multiprocessing", "numpy")):
+    """The fresh process, and which of `names` it loaded, space-separated."""
     proc = run_fresh(LOADED, *argv, text=True)
     assert proc.returncode in (0, 1), proc.stderr  # 1: the check found a violation
-    return proc, proc.stderr.splitlines()[-1]
+    return proc, " ".join(m for m in proc.stderr.splitlines()[-1].split() if m in names)
 
 
 class TestWhatACommandLoads:
@@ -851,6 +910,16 @@ class TestWhatACommandLoads:
     def test_a_kernel_scan_loads_numpy_only(self):
         argv = ("verify", "upper-bound", "--max", "1000", "--workers", "1")
         assert loaded_by("divrank.cli", *argv)[1] == "numpy"
+
+    @pytest.mark.parametrize("argv, loads", [
+        (("verify", "upper-bound", "--max", "1000"), ""),
+        (("verify", "lower-bound", "--max", "10000"), ""),
+        (("table", "--max", "1000", "--format", "csv"), ""),
+        (("table", "--max", "1000", "--format", "csv", "--checkpoint", "{tmp}/t.ck"), "hashlib"),
+    ], ids=["verify upper-bound", "verify lower-bound", "table", "table with a checkpoint"])
+    def test_hashlib_only_with_a_checkpoint(self, tmp_path, argv, loads):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert loaded_by("divrank.cli", *argv, names=("hashlib",))[1] == loads
 
 
 POOLED = [
@@ -879,6 +948,59 @@ class TestPooledScanInAFreshProcess:
         assert loaded == "multiprocessing numpy"
         assert resumed.stdout == run_cli(capsys, *POOLED[0], "--workers", "1")[1]
         assert not (tmp_path / "t.ck").exists()
+
+
+# test-only hooks: each pool worker writes its pid to the file named first, then
+# ignores SIGINT as the scan asks; each append takes 50 ms, so the scan is still
+# running when the test's SIGINT arrives
+SLOW_APPENDS = """
+import os, sys, time
+from divrank import cli, scanner
+pids, ignore, save = sys.argv[1], scanner._ignore_sigint, scanner.save_checkpoint
+def initializer():
+    with open(pids, "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    ignore()
+def slow_save(*args):
+    save(*args)
+    time.sleep(0.05)
+scanner._ignore_sigint, scanner.save_checkpoint = initializer, slow_save
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+class TestCtrlC:
+    def test_pooled_scan_stops_and_its_log_resumes(self, capsys, tmp_path):
+        ck, pids = tmp_path / "t.ck", tmp_path / "pids"
+        argv = [*TABLE, "--max", "100000", "--chunk-size", "2048", "--workers", "2",
+                "--checkpoint", str(ck), "--format", "csv"]
+        # a session of its own: the SIGINT goes to its whole group, as Ctrl-C in a
+        # terminal reaches the foreground group, pool workers included
+        proc = subprocess.Popen([sys.executable, "-c", SLOW_APPENDS, str(pids), *argv],
+                                env=fresh_env(), stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline and (
+                    not ck.exists() or ck.read_bytes().count(b"\n") < 3):
+                time.sleep(0.005)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert proc.returncode == -signal.SIGINT, err  # an uncaught KeyboardInterrupt
+        assert b"KeyboardInterrupt" in err
+        workers = [int(pid) for pid in pids.read_text().split()]
+        assert len(workers) == 2
+        for pid in workers:  # each was joined, and reaped, before the parent exited
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        assert 3 <= ck.read_bytes().count(b"\n") < 50  # stopped mid-scan, 49 chunks
+        code, resumed, _ = run_cli(capsys, *argv)
+        assert (code, ck.exists()) == (0, False)
+        assert resumed == run_cli(capsys, *TABLE, "--max", "100000", "--format", "csv")[1]
 
 
 def _paused_and_resumed_table(tmp_path, chunks):
