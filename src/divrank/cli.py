@@ -242,7 +242,7 @@ def _class_csv(k, members):
     return f"{k},{len(members)},{first},{last}\n"
 
 
-_ONE_MEMBER_CSV = "%s,1,%d,%d\n"  # _class_csv of a class of one member
+_ONE_MEMBER_CSV = "%s,1,%s,%s\n"  # _class_csv of a class of one member
 
 
 _SLICE = 4096  # classes a json or csv table renders at a time
@@ -251,8 +251,7 @@ _SLICE = 4096  # classes a json or csv table renders at a time
 def _table_slices(rows, one, render, sep):
     """The text of `rows`, _SLICE classes at a time, `sep` between classes. Each slice
     is one `%` of a template that holds `one` for a class of one member, its first and
-    its last, and the text `render(k, members)` of any other class, which has no "%":
-    keys and members are digits and "/"."""
+    its last, and "%s" for the text `render(k, members)` of any other class."""
     rows = iter(rows)
     while True:
         template, fields = [], []
@@ -261,7 +260,8 @@ def _table_slices(rows, one, render, sep):
                 template.append(one)
                 fields += (k, members[0], members[0])
             else:
-                template.append(render(k, members))
+                template.append("%s")
+                fields.append(render(k, members))
         if not template:
             return
         yield sep.join(template) % tuple(fields)

@@ -249,6 +249,32 @@ class TestTableSlices:
         assert cli.render_table(table, (), "csv") == csv_writer_table(table)
 
 
+    def test_keys_and_members_render_as_they_stand(self):
+        # a resumed log's keys and members are checked for shape and digest only: a
+        # "%" in a key, or a member that is no int, is rendered, not read as a format
+        classes = {str(i): [i] for i in range(1, 4096)}
+        classes.update({"%s/%d": [1, 2], "100%": [3], "%": [4, 5, 6]})  # across a slice
+        table = GkTable(1, 10**4, classes)
+        assert cli.render_table(table, (), "json") == indent2_table(table)
+        table.classes.update({"x": ["y"], "%d": ["1%d", 2]})
+        assert cli.render_table(table, (), "csv") == csv_writer_table(table)
+
+    def test_edited_log_line_resumes_as_it_stands(self, capsys, tmp_path):
+        ck = tmp_path / "t.ck"
+        argv = [*TABLE, "--max", "2000", "--chunk-size", "512", "--checkpoint", str(ck),
+                "--format", "csv"]
+        run_cli(capsys, *argv, "--max-chunks", "1")
+        head, line = ck.read_bytes().splitlines()
+        doc = json.loads(line)
+        doc["fragment"]["classes"].update({"%s/%d": [1, 2], "x": ["y"]})
+        # written back with the digest of its new fragment, as the log writes it
+        ck.write_bytes(head + b"\n" + scanner._chunk_line(
+            doc["last_n"], scanner.encode_fragment(doc["fragment"])))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert {"%s/%d,2,1 2,1 2", "x,1,y,y"} <= set(out.splitlines())
+
+
 # a text of a little over 3 MiB, every line of it different
 LONG_TEXT = "".join(f"{i},{i * i}\n" for i in range(280_000))
 

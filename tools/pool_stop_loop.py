@@ -1,9 +1,10 @@
 """Stop pooled scans over and over with a fault in the parent, and count the hangs.
 
-    PYTHONPATH=src python3 tools/pool_stop_loop.py [--runs 210] [--timeout 10]
+    PYTHONPATH=src python3 tools/pool_stop_loop.py
 
-Each run is one `scanner.run_scan` of the G_k task on two workers with a
-checkpoint, under `signal.alarm`, with one of three faults, taken in turn:
+Each of RUNS runs is one `scanner.run_scan` of the G_k task on two workers with
+a checkpoint, under a TIMEOUT-second `signal.alarm`, with one of three faults,
+taken in turn:
 
 - save:   `save_checkpoint` raises OSError on its third append;
 - merge:  the task's merge raises on its third fold;
@@ -13,12 +14,14 @@ checkpoint, under `signal.alarm`, with one of three faults, taken in turn:
 Every run should raise its fault. A run still inside `run_scan` when the alarm
 fires counts as hung; after each run, any live child process counts as left.
 The script prints the counts and exits 1 on any hang, leftover child, or run that
-did not raise. It uses the standard library and divrank only.
+did not raise. A run that outlives twice its alarm, stuck in the stop path after
+the alarm fired, ends the script at once through `faulthandler`, with exit 1 and
+every thread's traceback. It uses the standard library and divrank only.
 """
 
 from __future__ import annotations
 
-import argparse
+import faulthandler
 import json
 import multiprocessing
 import os
@@ -30,6 +33,7 @@ from divrank import scanner
 from divrank.core import CheckpointError, ScanInterrupted
 
 HI, CHUNK = 12 * 4096, 4096  # 12 chunks of the G_k task
+RUNS, TIMEOUT = 210, 10  # runs, and seconds per run before it counts as hung
 
 
 class Hung(Exception):
@@ -86,11 +90,7 @@ def run_once(fault, path, refused):
     return None
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=210)
-    parser.add_argument("--timeout", type=int, default=10, help="seconds per run")
-    args = parser.parse_args(argv)
+def main():
     signal.signal(signal.SIGALRM, _on_alarm)
     faults = ("save", "merge", "refuse")
     counts = {fault: {"raised": 0, "hung": 0, "quiet": 0} for fault in faults}
@@ -98,20 +98,22 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "gk.ck")
         refused = _refused_log(path)
-        for run in range(args.runs):
+        for run in range(RUNS):
             fault = faults[run % len(faults)]
-            signal.alarm(args.timeout)
+            signal.alarm(TIMEOUT)
+            faulthandler.dump_traceback_later(2 * TIMEOUT, exit=True)
             try:
                 exc = run_once(fault, path, refused)
             finally:
                 signal.alarm(0)
+                faulthandler.cancel_dump_traceback_later()
             kind = "hung" if isinstance(exc, Hung) else "raised" if exc else "quiet"
             counts[fault][kind] += 1
             left += len(multiprocessing.active_children())
     total = {kind: sum(c[kind] for c in counts.values()) for kind in ("raised", "hung", "quiet")}
     for fault in faults:
         print(f"{fault:7s} " + ", ".join(f"{kind} {n}" for kind, n in counts[fault].items()))
-    print(f"runs {args.runs}: raised {total['raised']}, hung {total['hung']}, "
+    print(f"runs {RUNS}: raised {total['raised']}, hung {total['hung']}, "
           f"did not raise {total['quiet']}, children left {left}")
     return 1 if total["hung"] or total["quiet"] or left else 0
 
