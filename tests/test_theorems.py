@@ -656,6 +656,59 @@ def _chunks(lo, hi):
             for name, frag in frags.items()}
 
 
+class TestViolationText:
+    """The exact violations each dense check's row function writes for a flagged row.
+    The rows are synthetic: at real n up to 2e5 only the k = d_2 text ever appears, so
+    the golden digests would not notice a reworded or reordered clause."""
+
+    @staticmethod
+    def _row(name, *row):
+        fragment = _TASKS[name][2]()
+        {"upper-bound": theorems._upper_bound_row, "sigma-bounds": theorems._sigma_bounds_row,
+         "conjecture-1": theorems._conjecture1_row}[name](fragment, *row)
+        return fragment
+
+    def test_upper_bound(self):
+        assert self._row("upper-bound", 10, 4, 2, 9, 3) == {"violations": [
+            {"n": 10, "expected": "k < 2+1/2", "actual": "k=9/3"}], "applicable": 0}
+        # k = d_2 + 1/d_2 exactly breaks the strict bound; k = 21/10 keeps it
+        assert self._row("upper-bound", 10, 4, 2, 5, 2)["violations"] == [
+            {"n": 10, "expected": "k < 2+1/2", "actual": "k=5/2"}]
+        assert self._row("upper-bound", 10, 4, 2, 21, 10)["violations"] == []
+
+    @pytest.mark.parametrize("row, failed, tau4", [
+        ((13, 2, 13, 1, 2), "sigma_e_lower,reciprocal_lower,combined_lower,prime_case", []),
+        ((13, 2, 13, 1000, 1000), "sigma_e_upper,reciprocal_lower,combined_lower,prime_case", []),
+        ((13, 2, 13, 26, 2), "sigma_e_upper,reciprocal_lower", []),
+        ((35, 4, 5, 6, 1), "sigma_e_lower,reciprocal_upper", []),
+        ((10, 4, 2, 11, 6), "sigma_e_lower,combined_lower", [10]),
+        ((10, 4, 2, 100, 1), "sigma_e_upper,reciprocal_upper,combined_upper", [10]),
+        ((12, 6, 2, 16, 14), "reciprocal_lower,combined_lower,tau6_bullet", []),
+        ((12, 6, 2, 25, 5), "sigma_e_upper,combined_upper,tau6_bullet", []),
+        ((24, 8, 2, 1, 1000), "sigma_e_lower,reciprocal_lower,combined_lower", []),
+        ((6, 4, 2, 8, 4), None, [6]),  # the real row of 6: only the advisory clause fails
+    ])
+    def test_sigma_bounds(self, row, failed, tau4):
+        n = row[0]
+        violations = [{"n": n, "expected": "bound chain holds",
+                       "actual": f"failed clauses: {failed}"}] if failed else []
+        assert self._row("sigma-bounds", *row) == {
+            "violations": violations, "applicable": 0, "tau4_failures": tau4}
+
+    @pytest.mark.parametrize("row, expected", [
+        ((2431, 8, 11, 7000, 1000), ["k = d_2 = 11"]),
+        ((10, 4, 2, 9, 3), ["k = d_2 = 2", "even index ratio numbers have k = 2"]),
+        ((10, 4, 3, 9, 3), ["even index ratio numbers have k = 2"]),
+        ((45, 6, 3, 20, 4), ["k = d_2 = 3", "odd n with tau = 2 mod 4 and 3 | n has k = 3"]),
+        ((45, 6, 5, 25, 5), ["odd n with tau = 2 mod 4 and 3 | n has k = 3"]),
+        ((45, 6, 3, 15, 5), []),
+    ])
+    def test_conjecture1(self, row, expected):
+        n, k = row[0], row[3] // row[4]
+        assert self._row("conjecture-1", *row) == {"violations": [
+            {"n": n, "expected": text, "actual": f"k={k}"} for text in expected], "applicable": 0}
+
+
 class TestKernelPairs:
     def test_only_the_pairing_checks_walk_pairs(self, monkeypatch):
         # the pairing walk costs more than the sums' own: the other block tasks skip it
