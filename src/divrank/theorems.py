@@ -1,10 +1,13 @@
 """Machine checks for every stated bound, identity, and conjecture.
 
-Single-n checks evaluate one integer exactly, through the same integer
-predicates with which the range scans re-check each kernel row their masks
-flag; scan_* functions sweep ranges and return ScanReports. A report that comes back "verified" is
-bounded evidence for the scanned range only, never a proof, and its notes
-say so in fixed wording.
+Each dense rule (upper bound, sigma-bounds chain, conjecture 1, rank pairing)
+is written once, in arithmetic that means the same on int64 columns and on
+Python ints: a range scan evaluates it on a kernel block's columns for its
+mask and on the Python ints of each flagged row for the re-check, and a
+single-n check on the row of one integer, exactly at any size. scan_*
+functions sweep ranges and return ScanReports. A report that comes back
+"verified" is bounded evidence for the scanned range only, never a proof, and
+its notes say so in fixed wording.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from math import isqrt
+from operator import or_
 
 from .classify import _class_key
 from .core import (
@@ -97,9 +101,11 @@ def _finish(check, lo, hi, violations, applicable, t0, notes=(), **config) -> Sc
 # single-n checks
 
 
-def _upper_bound_holds(d2, se, so):
-    """k < d_2 + 1/d_2, cross-multiplied."""
-    return se * d2 < so * (d2 * d2 + 1)
+def _upper_bound_fails(d2, se, so):
+    """Where k < d_2 + 1/d_2, that is se d2 < so (d2^2 + 1), is false; tested as that
+    inequality divided by d2 >= 1."""
+    # so d2 < 2**50 below KERNEL_BOUND: d2 < 2**16 unless n is prime, and then so = 1
+    return se - so * d2 > (so - 1) // d2
 
 
 def _lower_bound_verdict(d2, se, so):
@@ -111,34 +117,57 @@ def _lower_bound_verdict(d2, se, so):
 
 _CHAIN_CLAUSES = ("sigma_e_lower", "sigma_e_upper", "reciprocal_lower", "reciprocal_upper",
                   "combined_lower", "combined_upper")
-_TAU_CLAUSES = {2: ("prime_case",), 4: ("tau4_bullet",), 6: ("tau6_bullet",)}
+_TAU_CLAUSES = {2: "prime_case", 4: "tau4_bullet", 6: "tau6_bullet"}
+_FAILS_CLAUSES = (*_CHAIN_CLAUSES[:4], *_TAU_CLAUSES.values())  # what _sigma_bounds_fails tests
+
+
+def _sigma_bounds_fails(n, tau, se, so):
+    """Where each clause of the bound chain is false, in the order of _FAILS_CLAUSES;
+    a tau clause only where tau is its own.
+
+    Exact for the Fraction statement: so = n sigma_{e,-1}, because with tau even
+    n/d_i = d_{tau+1-i} maps even ranks onto odd ones. Each tau clause compares k
+    with an n-sized bound, so it is tested by division. One clause at a time: a
+    mask ORs each into the last before the next is computed, which keeps fewer of
+    a block's arrays alive at once.
+    """
+    # below KERNEL_BOUND the linear sides stay below 1602 * 2**31 < 2**42, and the
+    # tau clauses' below 6 * 2**34 < 2**37
+    yield tau - 2 + n > se  # sigma_e_lower
+    yield 4 * se > (tau + 2) * n  # sigma_e_upper
+    yield 4 * so > (tau - 2) * n + 4  # reciprocal_lower
+    yield so < tau - 1  # reciprocal_upper
+    yield (tau == 2) & ((se % so != 0) | (se // so != n))  # prime_case: se = n so
+    yield (tau == 4) & ((2 * so > se) | ((4 * se + so - 1) // so > n))  # 4 se <= n so
+    # tau6_bullet: (n + 4) so <= (n + 1) se, as 3 so <= (n + 1) (se - so); 5 se <= 2 n so
+    yield (tau == 6) & ((se - so < (3 * so + n) // (n + 1)) | ((5 * se + so - 1) // so > 2 * n))
 
 
 def _sigma_bounds_clauses(n, tau, se, so):
-    """The bound chain at a non-square n, clause name -> holds, each clause
-    cross-multiplied: _CHAIN_CLAUSES and then _TAU_CLAUSES[tau].
+    """The bound chain at a non-square n in Python ints, clause name -> holds:
+    _CHAIN_CLAUSES and then _TAU_CLAUSES[tau]. combined_lower and combined_upper
+    are cross-multiplied; their products can pass 2**64, and the masks need
+    neither: they are the products of sigma_e_lower with reciprocal_lower and of
+    sigma_e_upper with reciprocal_upper, whose sides are all nonnegative."""
+    fails = dict(zip(_FAILS_CLAUSES, _sigma_bounds_fails(n, tau, se, so)))
+    holds = {name: not fails[name] for name in _CHAIN_CLAUSES[:4]}
+    holds["combined_lower"] = 4 * (tau - 2 + n) * so <= ((tau - 2) * n + 4) * se
+    holds["combined_upper"] = 4 * (tau - 1) * se <= (tau + 2) * n * so
+    if tau in _TAU_CLAUSES:
+        holds[_TAU_CLAUSES[tau]] = not fails[_TAU_CLAUSES[tau]]
+    return holds
 
-    Exact for the Fraction statement: so = n sigma_{e,-1}, because with tau
-    even n/d_i = d_{tau+1-i} maps even ranks onto odd ones.
-    """
-    low = tau - 2 + n  # sigma_e >= low
-    high4 = (tau + 2) * n  # 4 sigma_e <= high4
-    rec4 = (tau - 2) * n + 4  # 1/sigma_{e,-1} >= 4n/rec4
-    holds = [
-        low <= se,  # sigma_e_lower
-        4 * se <= high4,  # sigma_e_upper
-        4 * so <= rec4,  # reciprocal_lower
-        so >= tau - 1,  # reciprocal_upper
-        4 * low * so <= rec4 * se,  # combined_lower
-        4 * (tau - 1) * se <= high4 * so,  # combined_upper
-    ]
-    if tau == 2:  # prime_case: k = n
-        holds.append(se == n * so)
-    elif tau == 4:  # tau4_bullet: 2 <= k <= n/4
-        holds.append(2 * so <= se and 4 * se <= n * so)
-    elif tau == 6:  # tau6_bullet: (n+4)/(n+1) <= k <= 2n/5
-        holds.append((n + 4) * so <= (n + 1) * se and 5 * se <= 2 * n * so)
-    return dict(zip(_CHAIN_CLAUSES + _TAU_CLAUSES.get(tau, ()), holds))
+
+def _conjecture1_fails(n, tau, d2, k):
+    """Where each of conjecture 1's statements is false at integer k: k = d_2; k = 2
+    for even n; k = 3 for odd n with tau = 2 mod 4 and 3 | n, that is n = 3 mod 6."""
+    return (k != d2), (n % 2 == 0) & (k != 2), (n % 6 == 3) & (tau % 4 == 2) & (k != 3)
+
+
+def _pairing_fails(k, d2, paired):
+    """Where d_2j = k d_2j-1 fails for some j, at integer k: paired says whether
+    d_2j = d_2 d_2j-1 for all j, and j = 1 asks k = d_2."""
+    return (k != d2) | (paired == 0)
 
 
 def check_upper_bound(n: int) -> bool:
@@ -146,7 +175,7 @@ def check_upper_bound(n: int) -> bool:
     if n < 2 or is_perfect_square(n):
         raise Inapplicable(f"upper bound is stated for non-squares >= 2, got {n}")
     _, _, d2, se, so, _ = _rank_row(divisor_list_of(n))
-    return _upper_bound_holds(d2, se, so)
+    return not _upper_bound_fails(d2, se, so)
 
 
 @dataclass(frozen=True)
@@ -269,13 +298,15 @@ def check_upper_bound_optimality(p: int, q_list: list[int]) -> bool:
 def check_pairing(n: int) -> bool:
     """For prime-integer k = p and tau(n) <= 8: d_{2j} = p d_{2j-1} for all j, which
     gives sigma_{e,a}(n) = p^a sigma_{o,a}(n) for every a, term by term."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     _, tau, d2, se, so, paired = _rank_row(divisor_list_of(n))
     k = Fraction(se, so)
     if k.denominator != 1 or not is_prime(k.numerator):
         raise Inapplicable(f"pairing is stated for prime integer k, got k({n}) = {k}")
     if tau > PAIRING_TAU_CAP:
         raise Inapplicable(f"pairing theorem covers tau <= {PAIRING_TAU_CAP}, got tau({n}) = {tau}")
-    return paired and k.numerator == d2  # d_2j = p d_2j-1 for all j, j = 1 included
+    return not _pairing_fails(k.numerator, d2, paired)
 
 
 def extend_with_prime(n: int, q: int) -> int:
@@ -327,9 +358,10 @@ def check_unit_fraction_gap(p: int, l: int) -> bool:
 
 # The dense checks test every n of a kernel block with exact int64 masks: one
 # flags the rows the check counts as applicable, one the rows that may break
-# it. Only those go to the Python predicate of the single-n check, in Python
-# ints, before any becomes a violation. Each int64 bound below holds for
-# n < KERNEL_BOUND = 2**31, where tau(n) <= 1600 and sigma(n) < 2**34.
+# it. The second evaluates the check's rule on the block's int64 columns, and
+# each row it flags goes to the row function, which evaluates the same rule on
+# Python ints before any becomes a violation. Each int64 bound in a rule holds
+# for n < KERNEL_BOUND = 2**31, where tau(n) <= 1600 and sigma(n) < 2**34.
 
 
 _TALLY = {"violations": [], "applicable": 0}
@@ -354,48 +386,21 @@ def _dense_check(name, masks, check_row, empty=_TALLY, pairs=False):
 
 
 def _upper_bound_masks(n, tau, d2, se, so):
-    """The non-squares, and those where _upper_bound_holds is false: se d2 < so (d2^2 + 1)
-    divided by d2 >= 1."""
+    """The non-squares, and those where the upper bound is false."""
     non_square = tau % 2 == 0
-    # so d2 < 2**50: d2 < 2**16 unless n is prime, and then so = 1
-    return non_square, non_square & (se - so * d2 > (so - 1) // d2)
+    return non_square, non_square & _upper_bound_fails(d2, se, so)
 
 
 def _sigma_bounds_masks(n, tau, d2, se, so):
     """The non-squares, and those where a clause of _sigma_bounds_clauses is false."""
     non_square = tau % 2 == 0
-    fails = _chain_fails(n, tau, se, so) | _tau_clause_fails(n, tau, se, so)
-    return non_square, non_square & fails
-
-
-def _chain_fails(n, tau, se, so):
-    """Where a clause of _CHAIN_CLAUSES is false. combined_lower and combined_upper
-    need no term: they are the products of sigma_e_lower with reciprocal_lower and
-    of sigma_e_upper with reciprocal_upper, whose sides are all nonnegative."""
-    # sides below 1602 * 2**31 < 2**42
-    return ((tau - 2 + n > se) | (4 * se > (tau + 2) * n)
-            | (4 * so > (tau - 2) * n + 4) | (so < tau - 1))
-
-
-def _tau_clause_fails(n, tau, se, so):
-    """Where the clause _TAU_CLAUSES[tau] of tau = 2, 4, 6 is false. Each compares k
-    with an n-sized bound, so it is tested by division."""
-    # numerators below 5 * 2**34 + 2**34 < 2**37; gap = se - so when that is positive
-    gap = (se - so).clip(1)
-    return (((tau == 2) & ((se % so != 0) | (se // so != n)))  # se = n so
-            | ((tau == 4) & ((2 * so > se) | ((4 * se + so - 1) // so > n)))  # 4 se <= n so
-            | ((tau == 6) & ((se <= so)  # (n + 4) so <= (n + 1) se, as 3 so <= (n + 1) gap
-                             | ((3 * so + gap - 1) // gap > n + 1)
-                             | ((5 * se + so - 1) // so > 2 * n))))  # 5 se <= 2 n so
+    return non_square, non_square & reduce(or_, _sigma_bounds_fails(n, tau, se, so))
 
 
 def _conjecture1_masks(n, tau, d2, se, so):
     """Integer k, and integer k that breaks one of conjecture 1's three statements."""
-    k = se // so  # so >= 1
-    integer = se % so == 0
-    odd = n % 2 == 1
-    return integer, integer & ((k != d2) | (~odd & (k != 2))
-                               | (odd & (tau % 4 == 2) & (n % 3 == 0) & (k != 3)))
+    integer = se % so == 0  # so >= 1
+    return integer, integer & reduce(or_, _conjecture1_fails(n, tau, d2, se // so))
 
 
 def _pairing_masks(n, tau, d2, se, so, paired, tau_cap):
@@ -408,11 +413,11 @@ def _pairing_masks(n, tau, d2, se, so, paired, tau_cap):
     integer = (se % so == 0) & (k >= 2)
     if tau_cap is not None:
         integer &= tau <= tau_cap
-    return integer & (k == d2), integer & ((k != d2) | ~paired)
+    return integer & (k == d2), integer & _pairing_fails(k, d2, paired)
 
 
 def _upper_bound_row(fragment, n, tau, d2, se, so):
-    if not _upper_bound_holds(d2, se, so):
+    if _upper_bound_fails(d2, se, so):
         fragment["violations"].append({
             "n": n,
             "expected": f"k < {d2}+1/{d2}",
@@ -441,7 +446,7 @@ def _pairing_row(fragment, n, tau, d2, se, so, paired):
         if not is_prime(p):
             return
         fragment["applicable"] += 1
-    if not (paired and p == d2):  # d_2j = p d_2j-1 for all j, j = 1 included
+    if _pairing_fails(p, d2, paired):
         fragment["violations"].append({
             "n": n,
             "expected": f"d_2j = {p} d_2j-1 for all j",
@@ -451,19 +456,11 @@ def _pairing_row(fragment, n, tau, d2, se, so, paired):
 
 def _conjecture1_row(fragment, n, tau, d2, se, so):
     k = se // so
-    violations = fragment["violations"]
-    if k != d2:
-        violations.append({"n": n, "expected": f"k = d_2 = {d2}", "actual": f"k={k}"})
-    if n % 2 == 0 and k != 2:
-        violations.append({
-            "n": n, "expected": "even index ratio numbers have k = 2", "actual": f"k={k}",
-        })
-    if n % 2 and tau % 4 == 2 and n % 3 == 0 and k != 3:
-        violations.append({
-            "n": n,
-            "expected": "odd n with tau = 2 mod 4 and 3 | n has k = 3",
-            "actual": f"k={k}",
-        })
+    statements = (f"k = d_2 = {d2}", "even index ratio numbers have k = 2",
+                  "odd n with tau = 2 mod 4 and 3 | n has k = 3")
+    for fails, expected in zip(_conjecture1_fails(n, tau, d2, k), statements):
+        if fails:
+            fragment["violations"].append({"n": n, "expected": expected, "actual": f"k={k}"})
 
 
 def _squares(lo, hi):
@@ -596,6 +593,8 @@ def scan_multiplier(n_max: int = 1000, samples: int = 500, seed: int = 2) -> Sca
     """Seeded random-sample check that k(n p^a) = k(n) for the first prime p > n."""
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
+    if samples < 0:
+        raise ValueError(f"need samples >= 0, got {samples}")
     t0 = time.perf_counter()
     rng = random.Random(seed)
     violations = []

@@ -73,6 +73,21 @@ def _paper_sigma_bounds(n, tau, se, so, rec):
     return clauses
 
 
+def _paper_upper_bound(d2, se, so):
+    """k < d_2 + 1/d_2 as the paper states it, in Fractions."""
+    return Fraction(se, so) < d2 + Fraction(1, d2)
+
+
+def _paper_fails(n, tau, se, so):
+    """Where each clause that theorems._sigma_bounds_fails tests is false, from the
+    Fraction statement: the four linear clauses, then prime_case, tau4_bullet and
+    tau6_bullet, each false where tau is not its own."""
+    paper = _paper_sigma_bounds(n, tau, se, so, Fraction(n, so))
+    return [not paper[name] for name in list(paper)[:4]] + [
+        tau == t and not paper[name]
+        for t, name in ((2, "prime_case"), (4, "tau4_bullet"), (6, "tau6_bullet"))]
+
+
 def _oracle_k_and_d2(divs):
     return Fraction(sum(divs[1::2]), sum(divs[0::2])), divs[1]
 
@@ -279,8 +294,19 @@ class TestMultiplier:
         b = scan_multiplier(samples=50, seed=11)
         assert a.violations == b.violations == []
 
+    def test_scan_of_no_samples_verifies_nothing(self):
+        report = scan_multiplier(10, samples=0)
+        assert (report.status, report.applicable, report.violations) == ("inapplicable", 0, [])
+        with pytest.raises(ValueError, match="^need samples >= 0, got -3$"):
+            scan_multiplier(10, samples=-3)
+
 
 class TestPairing:
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_refuses_n_below_1(self, n):
+        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+            check_pairing(n)
+
     def test_examples(self):
         assert check_pairing(15)   # [1,3,5,15]: 3=3*1, 15=3*5
         assert check_pairing(2)
@@ -546,7 +572,7 @@ class TestWithoutSpfTable:
 
 
 # ---------------------------------------------------------------------------
-# the dense checks' int64 masks against the exact Python predicates
+# the dense checks' int64 masks against the Fraction statements and Python-int references
 
 
 DENSE_CHECKS = ("upper-bound", "sigma-bounds", "conjecture-1", "conjecture-2", "pairing")
@@ -585,16 +611,23 @@ TAU_EDGES = {
 }
 
 
+def _bools(values):
+    """A rule's values as a list, each asserted to be a Python bool: a numpy scalar
+    or an int that slipped into a rule fails here."""
+    values = list(values)
+    assert all(type(value) is bool for value in values), values
+    return values
+
+
 def _python_masks(n, tau, d2, se, so, paired):
-    """What each check's (counted, suspect) masks must say of one row, from the
-    Python predicates on Python ints."""
+    """What each check's (counted, suspect) masks must say of one row: the bounds'
+    Fraction statements, and the conjectures in Python ints."""
     k, rest = divmod(se, so)
     non_square = tau % 2 == 0
     out = {
-        "upper-bound": (non_square,
-                        non_square and not theorems._upper_bound_holds(d2, se, so)),
-        "sigma-bounds": (non_square,
-                         non_square and not all(_sigma_bounds_clauses(n, tau, se, so).values())),
+        "upper-bound": (non_square, non_square and not _paper_upper_bound(d2, se, so)),
+        "sigma-bounds": (non_square, non_square and not all(
+            _paper_sigma_bounds(n, tau, se, so, Fraction(n, so)).values())),
         "conjecture-1": (rest == 0, rest == 0 and (
             k != d2 or (n % 2 == 0 and k != 2)
             or (n % 2 == 1 and tau % 4 == 2 and n % 3 == 0 and k != 3))),
@@ -617,7 +650,8 @@ def _assert_masks_exact(block):
 
 
 def _reference(rows):
-    """Each dense check's (violating n, applicable) by Python predicates alone."""
+    """Each dense check's (violating n, applicable) by the Fraction statements and
+    Python ints alone."""
     out = {name: ([], 0) for name in DENSE_CHECKS}
 
     def add(name, n, violated):
@@ -628,8 +662,8 @@ def _reference(rows):
         if n < 2:
             continue
         if tau % 2 == 0:
-            add("upper-bound", n, not theorems._upper_bound_holds(d2, se, so))
-            clauses = theorems._sigma_bounds_clauses(n, tau, se, so)
+            add("upper-bound", n, not _paper_upper_bound(d2, se, so))
+            clauses = _paper_sigma_bounds(n, tau, se, so, Fraction(n, so))
             add("sigma-bounds", n, any(not ok for name, ok in clauses.items()
                                        if name != "tau4_bullet"))
         k, rest = divmod(se, so)
@@ -802,12 +836,14 @@ class TestDenseMasks:
                  np.array([se]), np.array([so]), np.array([paired]))
         _assert_masks_exact(block)
 
-    @given(st.integers(min_value=4, max_value=core.KERNEL_BOUND - 1),
+    @given(st.one_of(st.integers(min_value=4, max_value=core.KERNEL_BOUND - 1),
+                     st.integers(min_value=core.KERNEL_BOUND, max_value=10**30)),
            st.integers(min_value=1, max_value=800).map(lambda half: 2 * half),
            st.sampled_from(theorems._CHAIN_CLAUSES[:4]), st.integers(min_value=-2, max_value=2))
     @settings(max_examples=500, deadline=None)
     def test_chain_term_at_each_clause_edge(self, n, tau, clause, nudge):
-        """One linear clause at its edge, sigma_e and sigma_o inside the others' bounds."""
+        """One linear clause at its edge, sigma_e and sigma_o inside the others' bounds:
+        the rule on Python ints, and below the kernel bound on int64 columns too."""
         se_range = (tau - 2 + n, (tau + 2) * n // 4)
         so_range = (tau - 1, ((tau - 2) * n + 4) // 4)
         se, so = sum(se_range) // 2, sum(so_range) // 2
@@ -815,37 +851,77 @@ class TestDenseMasks:
             se = se_range[clause.endswith("upper")] + nudge
         else:
             so = max(1, so_range[clause.endswith("lower")] + nudge)
-        clauses = _sigma_bounds_clauses(n, tau, se, so)
-        n_, tau_, se_, so_ = (np.array([value]) for value in (n, tau, se, so))
-        assert theorems._chain_fails(n_, tau_, se_, so_).tolist() == [
-            not all(clauses[name] for name in theorems._CHAIN_CLAUSES)]
+        want = _paper_fails(n, tau, se, so)
+        assert _bools(theorems._sigma_bounds_fails(n, tau, se, so)) == want
+        paper = _paper_sigma_bounds(n, tau, se, so, Fraction(n, so))
+        assert any(want[:4]) == (not all(paper[name] for name in theorems._CHAIN_CLAUSES))
+        if n < core.KERNEL_BOUND:
+            columns = (np.array([value]) for value in (n, tau, se, so))
+            assert [fails.tolist() for fails in theorems._sigma_bounds_fails(*columns)] == [
+                [value] for value in want]
 
     @given(st.one_of(st.integers(min_value=2, max_value=1000),
-                     st.integers(min_value=2, max_value=core.KERNEL_BOUND - 1)),
+                     st.integers(min_value=2, max_value=core.KERNEL_BOUND - 1),
+                     st.integers(min_value=core.KERNEL_BOUND, max_value=10**30)),
            st.integers(min_value=1, max_value=2**20), st.integers(min_value=-1, max_value=1),
            st.sampled_from(sorted(TAU_EDGES)))
     @settings(max_examples=500, deadline=None)
     def test_tau_clause_term_at_its_edges(self, n, m, nudge, edge):
+        """One tau clause at its edge: the rule on Python ints, and below the kernel
+        bound, with both sums below 2^34 like sigma(n), on int64 columns too."""
         tau, place = TAU_EDGES[edge]
         so, se = place(n, m)
-        if se >= 2**34 or so >= 2**34:  # keep both, like sigma(n), below 2^34
+        below = n < core.KERNEL_BOUND
+        if below and (se >= 2**34 or so >= 2**34):
             m = max(1, m * 2**33 // max(se, so))
             so, se = place(n, m)
         se = max(1, se + nudge)
-        (clause,) = theorems._TAU_CLAUSES[tau]
-        n_, tau_, se_, so_ = (np.array([value]) for value in (n, tau, se, so))
-        assert theorems._tau_clause_fails(n_, tau_, se_, so_).tolist() == [
-            not _sigma_bounds_clauses(n, tau, se, so)[clause]]
+        want = _paper_fails(n, tau, se, so)
+        assert _bools(theorems._sigma_bounds_fails(n, tau, se, so)) == want
+        assert any(want[4:]) == (not _paper_sigma_bounds(n, tau, se, so, Fraction(n, so))[
+            theorems._TAU_CLAUSES[tau]])
+        if below:
+            columns = (np.array([value]) for value in (n, tau, se, so))
+            assert [fails.tolist() for fails in theorems._sigma_bounds_fails(*columns)] == [
+                [value] for value in want]
+
+    @given(st.integers(min_value=2, max_value=10**30),
+           st.one_of(st.sampled_from([2, 4, 6]), st.integers(min_value=1, max_value=10**6).map(
+               lambda half: 2 * half)),
+           st.integers(min_value=1, max_value=10**30), st.integers(min_value=1, max_value=10**15),
+           st.integers(min_value=-3, max_value=3), st.sampled_from(sorted(SE_EDGES)),
+           st.booleans())
+    @settings(max_examples=500, deadline=None)
+    def test_rules_on_python_ints_past_the_kernel_bound(self, n, tau, so, d2, nudge, edge,
+                                                        paired):
+        """Each rule on one row of Python ints, sigma_e next to one verdict's edge, as the
+        single-n checks run it: exact past 2^31, and a Python bool everywhere."""
+        se = max(1, SE_EDGES[edge](n, tau, d2, so) + nudge)
+        if edge == "prime":
+            d2, so = n, 1
+        assert _bools([theorems._upper_bound_fails(d2, se, so)]) == [
+            not _paper_upper_bound(d2, se, so)]
+        assert _bools(theorems._sigma_bounds_fails(n, tau, se, so)) == _paper_fails(
+            n, tau, se, so)
+        clauses = theorems._sigma_bounds_clauses(n, tau, se, so)
+        _bools(clauses.values())
+        assert list(clauses.items()) == list(
+            _paper_sigma_bounds(n, tau, se, so, Fraction(n, so)).items())
+        k = se // so
+        assert _bools(theorems._conjecture1_fails(n, tau, d2, k)) == [
+            k != d2, n % 2 == 0 and k != 2,
+            n % 2 == 1 and tau % 4 == 2 and n % 3 == 0 and k != 3]
+        assert _bools([theorems._pairing_fails(k, d2, paired)]) == [not (paired and k == d2)]
 
     @given(st.integers(min_value=1, max_value=10**12), st.integers(min_value=1, max_value=10**6),
            st.data())
     @settings(max_examples=200, deadline=None)
     def test_linear_clauses_imply_the_combined_ones(self, n, tau, data):
-        # why _chain_fails needs no term for combined_lower and combined_upper
+        # why the masks need no term for combined_lower and combined_upper
         low, high4, rec4 = tau - 2 + n, (tau + 2) * n, (tau - 2) * n + 4
         assume(low <= high4 // 4 and tau - 1 <= rec4 // 4 and rec4 // 4 >= 1)
         se = data.draw(st.integers(min_value=max(low, 1), max_value=high4 // 4))
         so = data.draw(st.integers(min_value=max(tau - 1, 1), max_value=rec4 // 4))
-        clauses = _sigma_bounds_clauses(n, tau, se, so)
+        clauses = _paper_sigma_bounds(n, tau, se, so, Fraction(n, so))
         assert all(clauses[name] for name in theorems._CHAIN_CLAUSES[:4])
         assert clauses["combined_lower"] and clauses["combined_upper"]
