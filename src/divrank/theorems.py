@@ -123,7 +123,7 @@ _FAILS_CLAUSES = (*_CHAIN_CLAUSES[:4], *_TAU_CLAUSES.values())  # what _sigma_bo
 
 def _sigma_bounds_fails(n, tau, se, so):
     """Where each clause of the bound chain is false, in the order of _FAILS_CLAUSES;
-    a tau clause only where tau is its own.
+    each tau clause is false wherever tau is not its own.
 
     Exact for the Fraction statement: so = n sigma_{e,-1}, because with tau even
     n/d_i = d_{tau+1-i} maps even ranks onto odd ones. Each tau clause compares k
