@@ -38,8 +38,6 @@ class GkTable:
 
 def is_index_ratio(n: int) -> bool:
     """True iff sigma_o(n) divides sigma_e(n)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     _, _, _, se, so, _ = _rank_row(divisor_list_of(n))
     return se % so == 0
 

@@ -181,10 +181,6 @@ def _json_text(payload):
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _bool_str(flag):
-    return "true" if flag else "false"
-
-
 def render_profile(prof, fmt):
     k = _class_key(prof.sigma_e, prof.sigma_o)
     if fmt == "json":
@@ -200,7 +196,7 @@ def render_profile(prof, fmt):
         })
     if fmt == "csv":
         row = (prof.n, prof.tau, prof.sigma_e, prof.sigma_o,
-               k, _bool_str(prof.is_index_ratio))
+               k, "true" if prof.is_index_ratio else "false")
         return _csv_text([row], CSV_PROFILE_COLUMNS)
     lines = [
         f"n = {prof.n}",
@@ -225,7 +221,7 @@ def _members_json(members):
 
 
 # _CLASS_JSON of a class whose one member is both its first and its last
-_ONE_MEMBER_JSON = _CLASS_JSON % ("%s", 1, "[\n        %d\n      ]", "[\n        %d\n      ]")
+_ONE_MEMBER_JSON = _CLASS_JSON % ("%s", 1, "[\n        %s\n      ]", "[\n        %s\n      ]")
 
 
 def _class_json(k, members):
@@ -296,18 +292,9 @@ def render_table(table, filters, fmt):
 def render_report(report: ScanReport, fmt, timing):
     elapsed = report.elapsed_ms if timing else None
     if fmt == "json":
-        return _json_text({
-            "kind": "report",
-            "check": report.check,
-            "lo": report.lo,
-            "hi": report.hi,
-            "status": report.status,
-            "violations": report.violations,
-            "elapsed_ms": elapsed,
-            "config": report.config,
-            "notes": report.notes,
-            "applicable": report.applicable,
-        })
+        # ScanReport's field order is the payload's key order after "kind"; elapsed_ms
+        # keeps its place, null without --timing
+        return _json_text({"kind": "report", **vars(report), "elapsed_ms": elapsed})
     if fmt == "csv":
         header = ("check", "lo", "hi", "status", "applicable", "elapsed_ms",
                   "n", "expected", "actual")

@@ -119,9 +119,10 @@ def primes_upto(limit: int) -> list[int]:
 def _prime_pairs(n: int) -> list[tuple[int, int]]:
     """(prime, exponent) pairs of n, primes ascending, by trial division by 2, 3 and
     6k +- 1; [] for n = 1. A perfect square r^2 is factored through r, its exponents
-    doubled: trial division of r^2 itself would run up to the largest prime of r."""
+    doubled: trial division of r^2 itself would run up to the largest prime of r.
+    It is the n >= 1 guard of every single-n path that checks nothing before it."""
     if n < 1:
-        raise ValueError(f"factorize requires n >= 1, got {n}")
+        raise ValueError(f"n must be >= 1, got {n}")
     r = isqrt(n)
     if r > 1 and r * r == n:
         return [(p, 2 * e) for p, e in _prime_pairs(r)]

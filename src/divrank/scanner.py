@@ -141,29 +141,17 @@ def save_checkpoint(path, task, config_hash, last_n, body):
     os.replace(f"{path}.tmp", path)
 
 
-class _Resumed:
-    """The chunk lines of a log whose header load_checkpoint has checked: len()
-    counts them without decoding any, and one pass yields their fragments."""
-
-    def __init__(self, count, fragments):
-        self.count, self.fragments = count, fragments
-
-    def __len__(self):
-        return self.count
-
-    def __iter__(self):
-        return self.fragments
-
-
-def load_checkpoint(path, task, config_hash, chunk_ends=()):
-    """The validated fragments, in chunk order, of the log save_checkpoint appends to.
+def load_checkpoint(path, task, config_hash, chunk_ends):
+    """(count, fragments) of the log save_checkpoint appends to: the number of its
+    chunk lines, counted without decoding any, and a one-pass generator of their
+    validated fragments, in chunk order.
 
     The log is read, and its header checked, at the call: a log of another version,
     task or configuration is refused before any chunk runs. Its chunk lines are
-    decoded and checked as the result is iterated, once. Line i + 1 must hold chunk
-    i: a fragment of the task's shape, its digest, and as last_n the i-th of
-    `chunk_ends`, the scan's chunk ends in order. An unterminated last line is a
-    torn append: once the rest validates, it is cut off, and its chunk is recomputed.
+    decoded and checked as the generator runs. Line i + 1 must hold chunk i: a
+    fragment of the task's shape, its digest, and as last_n the i-th of `chunk_ends`,
+    the scan's chunk ends in order. An unterminated last line is a torn append: once
+    the rest validates, it is cut off, and its chunk is recomputed.
     """
     import hashlib
 
@@ -215,7 +203,7 @@ def load_checkpoint(path, task, config_hash, chunk_ends=()):
         if whole < len(raw):
             os.truncate(path, whole)
 
-    return _Resumed(count, fragments())
+    return count, fragments()
 
 
 def _same_shape(state, empty):
@@ -267,10 +255,10 @@ def run_scan(task, lo, hi, *, workers=1, chunk_size=CHUNK_SIZE_DEFAULT,
 
     # chunk starts as a range, sliced and counted without listing a chunk
     starts = range(lo, hi + 1, chunk_size)
-    resumed = ()
+    count, resumed = 0, ()
     if checkpoint and os.path.exists(checkpoint):  # its header is checked here, its lines below
-        resumed = load_checkpoint(checkpoint, task, digest, map(end, starts))
-    left = starts[len(resumed):]  # empty when a resumed scan had finished: it still cleans up
+        count, resumed = load_checkpoint(checkpoint, task, digest, map(end, starts))
+    left = starts[count:]  # empty when a resumed scan had finished: it still cleans up
     todo = left if max_chunks is None else left[:max_chunks]
     pausing = len(todo) < len(left)  # its state would be discarded: fold nothing
 

@@ -80,12 +80,8 @@ def parity_sums_real(n: int, alpha: float) -> tuple[float, float]:
 
 def tau_parity(n: int) -> tuple[int, int]:
     """(tau_e, tau_o): divisor counts at even and odd ranks."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     tau = factorize(n).tau
-    if tau % 2:
-        return (tau - 1) // 2, (tau + 1) // 2
-    return tau // 2, tau // 2
+    return tau // 2, (tau + 1) // 2
 
 
 def k_ratio(n: int) -> Fraction:
@@ -96,8 +92,6 @@ def k_ratio(n: int) -> Fraction:
 
 def profile(n: int) -> DivisorProfile:
     """Full DivisorProfile for n."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     divs = divisor_list_of(n)
     _, tau, _, sig_e, sig_o, _ = _rank_row(divs)
     return DivisorProfile(

@@ -226,22 +226,26 @@ def check_sigma_bounds(n: int) -> SigmaBoundsResult:
     return SigmaBoundsResult(n, tau, _sigma_bounds_clauses(n, tau, se, so))
 
 
-def check_multiplier(n: int, p: int, a: int) -> bool:
-    """k(n * p^a) = k(n) when p is prime, p > n, and tau(n) is even.
+def _multiplier_domain(n):
+    """Refuse an n outside the multiplier identity's domain, n >= 2 with tau(n) even.
 
     n = 1 is inapplicable: k(1) = 0 is degenerate (no even-rank divisors to
     scale), and indeed k(p^a) = p != 0. Perfect squares are inapplicable too:
     with tau(n) odd the appended divisor blocks alternate rank parity, and
     the identity genuinely fails (e.g. k(9*11) = 113/43 != k(9) = 3/10).
+    n < 1 comes first: 0 is a perfect square, and isqrt words its own refusal of n < 0.
     """
-    if n == 1:
-        raise Inapplicable("n = 1 has k = 0; the multiplier identity needs n >= 2")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n == 1:
+        raise Inapplicable("n = 1 has k = 0; the multiplier identity needs n >= 2")
     if is_perfect_square(n):
-        raise Inapplicable(
-            f"the multiplier identity needs tau(n) even; {n} is a perfect square"
-        )
+        raise Inapplicable(f"the multiplier identity needs tau(n) even; {n} is a perfect square")
+
+
+def check_multiplier(n: int, p: int, a: int) -> bool:
+    """k(n * p^a) = k(n) when p is prime, p > n, and tau(n) is even (n >= 2)."""
+    _multiplier_domain(n)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if p <= n:
@@ -253,14 +257,7 @@ def check_multiplier(n: int, p: int, a: int) -> bool:
 
 def check_multiplier_chain(n: int, m_factorization: Factorization) -> bool:
     """k(n*m) = k(n) under the chained hypothesis base < p_i at every step."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n == 1:
-        raise Inapplicable("n = 1 has k = 0; the multiplier identity needs n >= 2")
-    if is_perfect_square(n):
-        raise Inapplicable(
-            f"the multiplier identity needs tau(n) even; {n} is a perfect square"
-        )
+    _multiplier_domain(n)
     base = n
     ok = True
     for i, (p, e) in enumerate(m_factorization.factors, start=1):
@@ -298,8 +295,6 @@ def check_upper_bound_optimality(p: int, q_list: list[int]) -> bool:
 def check_pairing(n: int) -> bool:
     """For prime-integer k = p and tau(n) <= 8: d_{2j} = p d_{2j-1} for all j, which
     gives sigma_{e,a}(n) = p^a sigma_{o,a}(n) for every a, term by term."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     _, tau, d2, se, so, paired = _rank_row(divisor_list_of(n))
     k = Fraction(se, so)
     if k.denominator != 1 or not is_prime(k.numerator):

@@ -366,12 +366,12 @@ class TestPoolStops:
                 yield job
 
         def load_after_hand_out(*args):
-            resumed = load(*args)
+            count, resumed = load(*args)
 
             def fragments():
                 assert handed.wait(30)
                 yield from resumed
-            return scanner._Resumed(len(resumed), fragments())
+            return count, fragments()
 
         monkeypatch.setattr(scanner, "_handed_out", hand_out)
         monkeypatch.setattr(scanner, "load_checkpoint", load_after_hand_out)
@@ -486,7 +486,8 @@ class TestCheckpoint:
         save_checkpoint(path, "gk", "abc123", 64,
                         encode_fragment({"classes": {"2": [2, 6], "9/5": [12]}}))
         first = path.read_bytes()
-        (fragment,) = load_checkpoint(path, "gk", "abc123", [64])  # the one chunk logged
+        count, (fragment,) = load_checkpoint(path, "gk", "abc123", [64])  # the one chunk logged
+        assert count == 1
         path.unlink()
         save_checkpoint(path, "gk", "abc123", 64, encode_fragment(fragment))
         assert path.read_bytes() == first
@@ -533,15 +534,15 @@ class TestCheckpoint:
         path = tmp_path / "ck.json"
         save_checkpoint(path, "gk", "abc123", 64, encode_fragment({"classes": {}}))
         with pytest.raises(CheckpointError):
-            load_checkpoint(path, "gk", "zzz")
+            load_checkpoint(path, "gk", "zzz", [64])
         with pytest.raises(CheckpointError):
-            load_checkpoint(path, "irn", "abc123")
+            load_checkpoint(path, "irn", "abc123", [64])
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "ck.json"
         path.write_text("not json{")
         with pytest.raises(CheckpointError):
-            load_checkpoint(path, "gk", "abc123")
+            load_checkpoint(path, "gk", "abc123", [64])
 
     def test_interrupt_and_resume_equals_straight_run(self, tmp_path):
         path = str(tmp_path / "scan.ck")

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import product
 from math import isqrt, prod
 
@@ -54,6 +54,33 @@ class TestFactorize:
         assert product == n
         primes = [p for p, _ in f.factors]
         assert primes == sorted(set(primes))
+
+
+class TestIsPrime:
+    def test_against_oracle(self):
+        for n in range(-4, 10**4 + 1):
+            assert is_prime(n) == (oracle_factorize(n) == ((n, 1),))
+
+    @pytest.mark.parametrize("n, prime", [
+        *[(p, True) for p in (2**31 - 1, 2**31 + 11, 46337, 999983, 10**12 + 39)],
+        (2**31 + 1, False),
+        *[(c, False) for c in (561, 1105, 41041, 825265)],  # Carmichael numbers
+        (46337**2, False), (2 * (2**31 - 1), False),
+    ])
+    def test_far_values_against_oracle(self, n, prime):
+        assert is_prime(n) == prime == (oracle_factorize(n) == ((n, 1),))
+
+
+@pytest.mark.parametrize("n", [0, -4])
+@pytest.mark.parametrize("entry", [
+    divrank.factorize, divrank.divisor_list_of, divrank.k_ratio, divrank.profile,
+    divrank.tau_parity, partial(divrank.parity_sums_int, alpha=1),
+    partial(divrank.parity_sums_real, alpha=1.0), divrank.is_index_ratio,
+    divrank.check_pairing,
+], ids=lambda entry: getattr(entry, "__name__", None) or entry.func.__name__)
+def test_single_n_entry_points_refuse_n_below_1_in_one_message(entry, n):
+    with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+        entry(n)
 
 
 class TestFactorizeSquare:
@@ -163,7 +190,7 @@ class TestSingleNPastTheKernelBound:
 
     @pytest.mark.parametrize("n", [0, -4])
     def test_divisor_list_of_rejects_n_below_1(self, n):
-        with pytest.raises(ValueError, match=f"n >= 1, got {n}"):
+        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
             core.divisor_list_of(n)
 
     def test_squares_straddling_the_kernel_bound(self):

@@ -277,10 +277,14 @@ class TestMultiplier:
         assert exc.value.index == 2
 
     @pytest.mark.parametrize("n", [0, -4])
-    def test_chain_refuses_n_below_1(self, n):
+    @pytest.mark.parametrize("check", [
+        lambda n: check_multiplier_chain(n, factorize(7)),
+        lambda n: check_multiplier(n, 7, 1),
+    ], ids=["chain", "single"])
+    def test_chain_refuses_n_below_1(self, check, n):
         # not "0 is a perfect square", nor isqrt's message for a negative n
         with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$") as exc:
-            check_multiplier_chain(n, factorize(7))
+            check(n)
         assert not isinstance(exc.value, Inapplicable)
 
     def test_sampled_scan(self):
