@@ -7,116 +7,29 @@ integers into G_k classes, and machine-checks the bounds, identities, and
 conjectures that govern them over exhaustive ranges.
 """
 
-from .classify import (
-    GkTable,
-    enumerate_index_ratio,
-    is_index_ratio,
-    members_of_k,
-    merge_tables,
-    scan_range,
-)
-from .core import (
-    AlphaZeroError,
-    CheckpointError,
-    Factorization,
-    HypothesisViolation,
-    Inapplicable,
-    RangeOverlapError,
-    ScanInterrupted,
-    divisor_list_of,
-    divisors_sorted,
-    factorize,
-    is_prime,
-    parse_rational,
-    rational_of,
-)
-from .sigma import (
-    DivisorProfile,
-    ParitySums,
-    is_perfect_square,
-    k_ratio,
-    parity_sums_int,
-    parity_sums_real,
-    prime_power_closed_form,
-    profile,
-    tau_parity,
-)
-from .theorems import (
-    LowerBoundResult,
-    ScanReport,
-    SigmaBoundsResult,
-    check_lower_bound,
-    check_multiplier,
-    check_multiplier_chain,
-    check_pairing,
-    check_sigma_bounds,
-    check_unit_fraction_gap,
-    check_upper_bound,
-    check_upper_bound_optimality,
-    extend_with_prime,
-    scan_conjecture1,
-    scan_conjecture2,
-    scan_conjecture3,
-    scan_lower_bound,
-    scan_multiplier,
-    scan_pairing,
-    scan_prime_power_distinct,
-    scan_sigma_bounds,
-    scan_unit_fraction,
-    scan_upper_bound,
-)
+from . import classify, core, sigma, theorems
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaZeroError",
-    "CheckpointError",
-    "DivisorProfile",
-    "Factorization",
-    "GkTable",
-    "HypothesisViolation",
-    "Inapplicable",
-    "LowerBoundResult",
-    "ParitySums",
-    "RangeOverlapError",
-    "ScanInterrupted",
-    "ScanReport",
-    "SigmaBoundsResult",
-    "check_lower_bound",
-    "check_multiplier",
-    "check_multiplier_chain",
-    "check_pairing",
-    "check_sigma_bounds",
-    "check_unit_fraction_gap",
-    "check_upper_bound",
-    "check_upper_bound_optimality",
-    "divisor_list_of",
-    "divisors_sorted",
-    "enumerate_index_ratio",
-    "extend_with_prime",
-    "factorize",
-    "is_index_ratio",
-    "is_perfect_square",
-    "is_prime",
-    "k_ratio",
-    "members_of_k",
-    "merge_tables",
-    "parity_sums_int",
-    "parity_sums_real",
-    "parse_rational",
-    "prime_power_closed_form",
-    "profile",
-    "rational_of",
-    "scan_conjecture1",
-    "scan_conjecture2",
-    "scan_conjecture3",
-    "scan_lower_bound",
-    "scan_multiplier",
-    "scan_pairing",
-    "scan_prime_power_distinct",
-    "scan_range",
-    "scan_sigma_bounds",
-    "scan_unit_fraction",
-    "scan_upper_bound",
-    "tau_parity",
-]
+# Each public name once, under the module that defines it. They are bound here,
+# at import: a pool worker that is not forked imports divrank.scanner, so runs this
+# file, and with it classify and theorems, which register the tasks it runs.
+_PUBLIC = {
+    classify: ("GkTable", "enumerate_index_ratio", "is_index_ratio", "members_of_k",
+               "merge_tables", "scan_range"),
+    core: ("AlphaZeroError", "CheckpointError", "Factorization", "HypothesisViolation",
+           "Inapplicable", "RangeOverlapError", "ScanInterrupted", "divisor_list_of",
+           "divisors_sorted", "factorize", "is_prime", "parse_rational", "rational_of"),
+    sigma: ("DivisorProfile", "ParitySums", "is_perfect_square", "k_ratio", "parity_sums_int",
+            "parity_sums_real", "prime_power_closed_form", "profile", "tau_parity"),
+    theorems: ("LowerBoundResult", "ScanReport", "SigmaBoundsResult", "check_lower_bound",
+               "check_multiplier", "check_multiplier_chain", "check_pairing",
+               "check_sigma_bounds", "check_unit_fraction_gap", "check_upper_bound",
+               "check_upper_bound_optimality", "extend_with_prime", "scan_conjecture1",
+               "scan_conjecture2", "scan_conjecture3", "scan_lower_bound", "scan_multiplier",
+               "scan_pairing", "scan_prime_power_distinct", "scan_sigma_bounds",
+               "scan_unit_fraction", "scan_upper_bound"),
+}
+globals().update({name: getattr(module, name) for module, names in _PUBLIC.items()
+                  for name in names})
+__all__ = sorted(name for names in _PUBLIC.values() for name in names)

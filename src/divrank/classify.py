@@ -1,6 +1,6 @@
 """Classify ranges of integers into G_k classes keyed by k(n) = sigma_e/sigma_o.
 
-A GkTable maps each k, keyed as printed ("2", "9/5") by `_class_key` alone,
+A GkTable maps each k, keyed as printed ("2", "9/5") by `core._class_key` alone,
 to the ascending list of its members in a range; every n belongs to exactly
 one class. Index ratio numbers are the n whose k(n) is a nonnegative integer.
 A chunk groups each kernel block by class with np.gcd and a stable np.lexsort."""
@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
 from .core import (
     RangeOverlapError,
+    _class_key,
     _rank_row,
     block_rows,
     divisor_list_of,
@@ -40,13 +40,6 @@ def is_index_ratio(n: int) -> bool:
     """True iff sigma_o(n) divides sigma_e(n)."""
     _, _, _, se, so, _ = _rank_row(divisor_list_of(n))
     return se % so == 0
-
-
-def _class_key(se, so):
-    """k = se/so as printed, "num" or "num/den" in lowest terms: the key of a G_k
-    class, which chunks, checkpoints and output carry unchanged; no other code makes one."""
-    g = gcd(se, so)
-    return f"{se // g}/{so // g}" if so != g else str(se // g)
 
 
 def _gk_chunk(lo, hi):

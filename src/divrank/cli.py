@@ -27,8 +27,8 @@ import os
 import sys
 from itertools import islice
 
-from .classify import _class_key, scan_range
-from .core import CheckpointError, ScanInterrupted, parse_rational
+from .classify import scan_range
+from .core import CheckpointError, ScanInterrupted, _class_key, parse_rational
 from .scanner import _TASKS, CHUNK_SIZE_DEFAULT, run_scan
 from .sigma import profile
 from .theorems import (

@@ -14,7 +14,9 @@ load it. The block range scans sieve what they need per block. Single-n calls,
 the squares scans' among them, take the (p, e) pairs of one trial-division
 helper, `_prime_pairs`, and one flat expansion, `_expand`, which
 `divisors_sorted` shares; `divisor_list_of` builds no Factorization (the 6,324
-squares up to 4e7: 57 -> 40 ms, BENCH_pr18.json).
+squares up to 4e7: 57 -> 40 ms, BENCH_pr18.json). `_rank_row` gives one n's
+kernel row in Python ints, and beside it `_class_key` the key of a G_k class,
+sigma_e/sigma_o as printed, which classify, theorems and cli all take from here.
 Rationals are stdlib ``fractions.Fraction``, always in canonical reduced form
 with a positive denominator, which renders as "num/den" (eliding "/1").
 """
@@ -24,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 
 class Inapplicable(ValueError):
@@ -213,6 +215,13 @@ def _rank_row(divs):
     d2 = divs[1] if tau > 1 else 1
     paired = tau % 2 == 0 and all(divs[i + 1] == d2 * divs[i] for i in range(0, tau, 2))
     return divs[-1], tau, d2, sum(divs[1::2]), sum(divs[0::2]), paired
+
+
+def _class_key(se, so):
+    """k = se/so as printed, "num" or "num/den" in lowest terms: the key of a G_k
+    class, which chunks, checkpoints and output carry unchanged; no other code makes one."""
+    g = gcd(se, so)
+    return f"{se // g}/{so // g}" if so != g else str(se // g)
 
 
 def _block_rank_sums(a, b, pairs=False):

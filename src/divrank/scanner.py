@@ -27,6 +27,7 @@ import copy
 import json
 import os
 import threading
+from itertools import chain
 
 from .core import KERNEL_BOUND, CheckpointError, ScanInterrupted
 
@@ -207,11 +208,13 @@ def load_checkpoint(path, task, config_hash, chunk_ends):
 
 
 def _same_shape(state, empty):
-    """`state` has exactly the keys of `empty`, each of the same type; dicts hold lists."""
+    """`state` has exactly the keys of `empty`, each of the same type; dicts hold lists
+    of ints (a bool is no int here)."""
     if type(state) is not dict or state.keys() != empty.keys():
         return False
     return all(type(value) is type(empty[key]) and
-               (type(value) is not dict or all(type(m) is list for m in value.values()))
+               (type(value) is not dict or set(map(type, value.values())) <= {list}
+                and set(map(type, chain.from_iterable(value.values()))) <= {int})
                for key, value in state.items())
 
 

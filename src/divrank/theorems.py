@@ -21,11 +21,11 @@ from functools import partial, reduce
 from math import isqrt
 from operator import or_
 
-from .classify import _class_key
 from .core import (
     Factorization,
     HypothesisViolation,
     Inapplicable,
+    _class_key,
     _rank_row,
     block_rows,
     divisor_list_of,

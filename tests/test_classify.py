@@ -46,11 +46,6 @@ class TestIsIndexRatio:
         for n in range(1, 2000):
             assert is_index_ratio(n) == (k_ratio(n).denominator == 1)
 
-    @pytest.mark.parametrize("n", [0, -4])
-    def test_refuses_n_below_1(self, n):
-        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
-            is_index_ratio(n)
-
 
 class TestScanRange:
     def test_first_ten(self):

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import re
 import signal
@@ -236,6 +237,20 @@ def sliced_table():
     return GkTable(1, SLICED_CLASSES * 100, classes)
 
 
+def resume_edited_log(capsys, tmp_path, classes, *flags):
+    """A table paused after one chunk, its log line given `classes` and re-signed with
+    the digest of its new fragment, as the log writes it; then resumed."""
+    ck = tmp_path / "t.ck"
+    argv = [*TABLE, "--max", "2000", "--chunk-size", "512", "--checkpoint", str(ck), *flags]
+    run_cli(capsys, *argv, "--max-chunks", "1")
+    head, line = ck.read_bytes().splitlines()
+    doc = json.loads(line)
+    doc["fragment"]["classes"].update(classes)
+    ck.write_bytes(head + b"\n" + scanner._chunk_line(
+        doc["last_n"], scanner.encode_fragment(doc["fragment"])))
+    return run_cli(capsys, *argv)
+
+
 class TestTableSlices:
     @pytest.mark.parametrize("fmt, reference", [
         ("json", lambda table, filters: indent2_table(table, filters)),
@@ -257,8 +272,9 @@ class TestTableSlices:
 
 
     def test_keys_and_members_render_as_they_stand(self):
-        # a resumed log's keys and members are checked for shape and digest only: a
-        # "%" in a key, or a member that is no int, is rendered, not read as a format
+        # a resumed log's keys are checked for shape and digest only, and render_table
+        # checks no member: a "%" in a key, or a member that is no int, is rendered,
+        # not read as a format
         classes = {str(i): [i] for i in range(1, 4096)}
         classes.update({"%s/%d": [1, 2], "100%": [3], "%": [4, 5, 6]})  # across a slice
         table = GkTable(1, 10**4, classes)
@@ -268,26 +284,20 @@ class TestTableSlices:
         assert cli.render_table(table, (), "json") == members_as_they_stand(indent2_table(table))
 
     @pytest.mark.parametrize("fmt, rendered", [
-        ("json", ['"k": "%s/%d",\n      "count": 2,\n      "first_members": [\n        1,\n'
-                  '        2\n      ],\n      "last_members": [\n        1,\n        2\n      ]',
-                  '"k": "x",\n      "count": 1,\n      "first_members": [\n        y\n      ],\n'
-                  '      "last_members": [\n        y\n      ]']),
-        ("csv", ["\n%s/%d,2,1 2,1 2\n", "\nx,1,y,y\n"]),
+        ("json", '"k": "%s/%d",\n      "count": 2,\n      "first_members": [\n        1,\n'
+                 '        2\n      ],\n      "last_members": [\n        1,\n        2\n      ]'),
+        ("csv", "\n%s/%d,2,1 2,1 2\n"),
     ], ids=["json", "csv"])
     def test_edited_log_line_resumes_as_it_stands(self, capsys, tmp_path, fmt, rendered):
-        ck = tmp_path / "t.ck"
-        argv = [*TABLE, "--max", "2000", "--chunk-size", "512", "--checkpoint", str(ck),
-                "--format", fmt]
-        run_cli(capsys, *argv, "--max-chunks", "1")
-        head, line = ck.read_bytes().splitlines()
-        doc = json.loads(line)
-        doc["fragment"]["classes"].update({"%s/%d": [1, 2], "x": ["y"]})
-        # written back with the digest of its new fragment, as the log writes it
-        ck.write_bytes(head + b"\n" + scanner._chunk_line(
-            doc["last_n"], scanner.encode_fragment(doc["fragment"])))
-        code, out, _ = run_cli(capsys, *argv)
+        code, out, _ = resume_edited_log(capsys, tmp_path, {"%s/%d": [1, 2]}, "--format", fmt)
         assert code == 0
-        assert all(text in out for text in rendered)
+        assert rendered in out
+
+    @pytest.mark.parametrize("member", ["y", True], ids=["text", "bool"])
+    def test_edited_log_line_with_a_member_that_is_no_int_exits_2(self, capsys, tmp_path, member):
+        code, out, err = resume_edited_log(capsys, tmp_path, {"x": [member]})
+        assert (code, out) == (2, "")
+        assert "malformed" in err
 
 
 # a text of a little over 3 MiB, every line of it different
@@ -979,6 +989,17 @@ class TestPooledScanInAFreshProcess:
         assert loaded == "multiprocessing numpy"
         code, out, _ = run_cli(capsys, *argv, "--workers", "1")
         assert (proc.returncode, proc.stdout) == (code, out)
+
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_every_start_method(self, capsys, method):
+        # a worker that is not forked imports divrank.scanner, and with it the package,
+        # whose modules register the tasks
+        argv = ("table", "--max", "3000", "--chunk-size", "512", "--format", "csv")
+        proc = run_fresh("import multiprocessing, sys; from divrank import cli; "
+                         "multiprocessing.set_start_method(sys.argv[1]); "
+                         "sys.exit(cli.main(sys.argv[2:]))", method, *argv, "--workers", "2")
+        code, out, _ = run_cli(capsys, *argv, "--workers", "1")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), b"")
 
     def test_paused_and_resumed(self, capsys, tmp_path):
         argv = ("divrank.cli", *POOLED[0], "--workers", "2", "--checkpoint", str(tmp_path / "t.ck"))

@@ -306,11 +306,6 @@ class TestMultiplier:
 
 
 class TestPairing:
-    @pytest.mark.parametrize("n", [0, -4])
-    def test_refuses_n_below_1(self, n):
-        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
-            check_pairing(n)
-
     def test_examples(self):
         assert check_pairing(15)   # [1,3,5,15]: 3=3*1, 15=3*5
         assert check_pairing(2)
