@@ -28,7 +28,7 @@ import sys
 from itertools import islice
 
 from .classify import scan_range
-from .core import CheckpointError, ScanInterrupted, _class_key, parse_rational
+from .core import _VIOLATION_KEYS, CheckpointError, ScanInterrupted, _class_key, parse_rational
 from .scanner import _TASKS, CHUNK_SIZE_DEFAULT, run_scan
 from .sigma import profile
 from .theorems import (
@@ -210,18 +210,14 @@ def render_profile(prof, fmt):
     return "\n".join(lines) + "\n"
 
 
-# json.dumps(indent=2) of one class, which never runs the C encoder; keys come
-# from _class_key, digits and "/" only, so they need no escaping
+# json.dumps(indent=2) of one class, which never runs the C encoder; keys need no
+# escaping, as core._CLASS_KEY (digits and "/") holds for every key made or resumed
 _CLASS_JSON = ('    {\n      "k": "%s",\n      "count": %d,\n'
                '      "first_members": %s,\n      "last_members": %s\n    }')
 
 
 def _members_json(members):
     return ("[\n        " + ",\n        ".join(map(str, members)) + "\n      ]") if members else "[]"
-
-
-# _CLASS_JSON of a class whose one member is both its first and its last
-_ONE_MEMBER_JSON = _CLASS_JSON % ("%s", 1, "[\n        %s\n      ]", "[\n        %s\n      ]")
 
 
 def _class_json(k, members):
@@ -238,17 +234,14 @@ def _class_csv(k, members):
     return f"{k},{len(members)},{first},{last}\n"
 
 
-_ONE_MEMBER_CSV = "%s,1,%s,%s\n"  # _class_csv of a class of one member
-
-
 _SLICE = 4096  # classes a json or csv table renders at a time
 
 
-def _table_slices(rows, one, render, sep):
+def _table_slices(rows, render, sep):
     """The text of `rows`, _SLICE classes at a time, `sep` between classes. Each slice
-    is one `%` of a template that holds `one` for a class of one member, its first and
-    its last, and "%s" for the text `render(k, members)` of any other class."""
-    rows = iter(rows)
+    is one `%` of a template that holds render("%s", ["%s"]) for a class of one member,
+    filled with its key and its member twice, and "%s" for render(k, members) of any other."""
+    rows, one = iter(rows), render("%s", ["%s"])
     while True:
         template, fields = [], []
         for k, members in islice(rows, _SLICE):
@@ -267,13 +260,13 @@ def render_table(table, filters, fmt):
     rows = [(k, table.classes.get(k, [])) for k in filters] if filters else table.classes.items()
     if fmt == "json":  # the bytes _json_text gives the payload, from a per-class template
         text = [f'{{\n  "kind": "table",\n  "lo": {table.lo},\n  "hi": {table.hi},\n  "classes": ']
-        for piece in _table_slices(rows, _ONE_MEMBER_JSON, _class_json, ",\n"):
+        for piece in _table_slices(rows, _class_json, ",\n"):
             text += (",\n" if len(text) > 1 else "[\n", piece)
         text.append("\n  ]\n}\n" if len(text) > 1 else "[]\n}\n")
         return "".join(text)
     if fmt == "csv":  # the bytes _csv_text gives the rows, from a per-class template
         return "".join(["k,count,first_members,last_members\n",
-                        *_table_slices(rows, _ONE_MEMBER_CSV, _class_csv, "")])
+                        *_table_slices(rows, _class_csv, "")])
     lines = [f"G_k members in [{table.lo}, {table.hi}]"]
     width = max((len(k) for k, _ in rows), default=1)
     for k, members in rows:
@@ -296,13 +289,12 @@ def render_report(report: ScanReport, fmt, timing):
         # keeps its place, null without --timing
         return _json_text({"kind": "report", **vars(report), "elapsed_ms": elapsed})
     if fmt == "csv":
-        header = ("check", "lo", "hi", "status", "applicable", "elapsed_ms",
-                  "n", "expected", "actual")
+        header = ("check", "lo", "hi", "status", "applicable", "elapsed_ms", *_VIOLATION_KEYS)
         elapsed_cell = "" if elapsed is None else elapsed
         lead = (report.check, report.lo, report.hi, report.status, report.applicable, elapsed_cell)
-        tails = [(v["n"], v["expected"], v["actual"]) for v in report.violations]
+        tails = [tuple(v[key] for key in _VIOLATION_KEYS) for v in report.violations]
         if not tails:  # a clean report still gets one row, its violation cells empty
-            tails = [("", "", "")]
+            tails = [("",) * len(_VIOLATION_KEYS)]
         return _csv_text([lead + tail for tail in tails], header)
     lines = [
         f"check = {report.check}",
@@ -365,17 +357,19 @@ def _chunk_flags(args):
                 checkpoint=args.checkpoint, max_chunks=args.max_chunks)
 
 
-def _refuse_chunk_flags(parser, args):
-    """Exit 2 on a chunk flag given to a check that is no chunked scan. Run before
-    resolve_settings, so that a set flag is the command line's: DIVRANK_* and
-    config-file values stay ignored there, as one file serves every subcommand."""
+def _refuse_unread_flags(parser, args):
+    """Exit 2 on a flag that the verify check does not read: a chunk flag unless it is a
+    chunked scan, --seed or --samples unless it is multiplier. Run before resolve_settings,
+    it sees only the command line: DIVRANK_* and config values may serve any subcommand."""
     check = getattr(args, "check", None)
-    if check is None or check in _TASKS:
+    if check is None:
         return
-    for name, value in _chunk_flags(args).items():
-        if value is not None:
-            parser.error(f"{_flag(name)} does not apply to verify {check}, "
-                         "which is not a chunked scan")
+    unread = {} if check in _TASKS else dict.fromkeys(_chunk_flags(args), "is not a chunked scan")
+    if check != "multiplier":
+        unread.update(seed="draws no samples", samples="draws no samples")
+    for name, why in unread.items():
+        if getattr(args, name) is not None:
+            parser.error(f"{_flag(name)} does not apply to verify {check}, which {why}")
 
 
 def cmd_table(args):
@@ -464,7 +458,7 @@ def main(argv=None):
     gc.disable()  # forked pool workers inherit this; see the module docstring
     try:
         args = build_parser().parse_args(argv)
-        _refuse_chunk_flags(args.parser, args)
+        _refuse_unread_flags(args.parser, args)
         resolve_settings(args.parser, args)
         return args.func(args)
     except ScanInterrupted as exc:

@@ -15,8 +15,8 @@ the squares scans' among them, take the (p, e) pairs of one trial-division
 helper, `_prime_pairs`, and one flat expansion, `_expand`, which
 `divisors_sorted` shares; `divisor_list_of` builds no Factorization (the 6,324
 squares up to 4e7: 57 -> 40 ms, BENCH_pr18.json). `_rank_row` gives one n's
-kernel row in Python ints, and beside it `_class_key` the key of a G_k class,
-sigma_e/sigma_o as printed, which classify, theorems and cli all take from here.
+kernel row in Python ints. Beside it is the one place that makes a G_k class key,
+`_class_key` (which `_CLASS_KEY` fullmatches), and a counterexample, `_violation`.
 Rationals are stdlib ``fractions.Fraction``, always in canonical reduced form
 with a positive denominator, which renders as "num/den" (eliding "/1").
 """
@@ -222,6 +222,15 @@ def _class_key(se, so):
     class, which chunks, checkpoints and output carry unchanged; no other code makes one."""
     g = gcd(se, so)
     return f"{se // g}/{so // g}" if so != g else str(se // g)
+
+
+_CLASS_KEY = re.compile(r"[0-9]+(?:/[0-9]+)?")  # every key made or resumed: schema's rational
+_VIOLATION_KEYS = ("n", "expected", "actual")  # an int, then two texts: schema's violation
+
+
+def _violation(n, expected, actual):
+    """The record of an n that breaks a check: what the check expected, and what it found."""
+    return dict(zip(_VIOLATION_KEYS, (n, expected, actual)))
 
 
 def _block_rank_sums(a, b, pairs=False):

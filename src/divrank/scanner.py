@@ -26,10 +26,11 @@ from __future__ import annotations
 import copy
 import json
 import os
+import re
 import threading
 from itertools import chain
 
-from .core import KERNEL_BOUND, CheckpointError, ScanInterrupted
+from .core import _CLASS_KEY, _VIOLATION_KEYS, KERNEL_BOUND, CheckpointError, ScanInterrupted
 
 CHUNK_SIZE_DEFAULT = 1 << 16
 CHECKPOINT_VERSION = 4  # 4: a header line, then one appended line per chunk
@@ -207,15 +208,25 @@ def load_checkpoint(path, task, config_hash, chunk_ends):
     return count, fragments()
 
 
+# a dict's n keys, joined by spaces, fullmatch this with n - 1 spaces iff each key
+# fullmatches core._CLASS_KEY: one pass costs about half as much as one per key
+_CLASS_KEYS = re.compile("{0}(?: {0})*".format(_CLASS_KEY.pattern))
+
+
 def _same_shape(state, empty):
-    """`state` has exactly the keys of `empty`, each of the same type; dicts hold lists
-    of ints (a bool is no int here)."""
-    if type(state) is not dict or state.keys() != empty.keys():
-        return False
-    return all(type(value) is type(empty[key]) and
-               (type(value) is not dict or set(map(type, value.values())) <= {list}
-                and set(map(type, chain.from_iterable(value.values()))) <= {int})
-               for key, value in state.items())
+    """`state` has exactly the keys of `empty`, each of the same type. A dict maps keys
+    that fullmatch core._CLASS_KEY to lists of ints (a bool is no int here), and
+    "violations" lists core._violation records: an int n, then two texts."""
+    return type(state) is dict and state.keys() == empty.keys() and all(
+        type(value) is type(empty[key]) and
+        (type(value) is not dict or not value or
+         _CLASS_KEYS.fullmatch(keys := " ".join(value)) and keys.count(" ") < len(value)
+         and set(map(type, value.values())) <= {list}
+         and set(map(type, chain.from_iterable(value.values()))) <= {int})
+        and (key != "violations" or all(type(v) is dict and tuple(v) == _VIOLATION_KEYS
+                                        and tuple(map(type, v.values())) == (int, str, str)
+                                        for v in value))
+        for key, value in state.items())
 
 
 def _refuse_unwritable(path):

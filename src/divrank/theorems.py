@@ -27,6 +27,7 @@ from .core import (
     Inapplicable,
     _class_key,
     _rank_row,
+    _violation,
     block_rows,
     divisor_list_of,
     is_prime,
@@ -413,22 +414,15 @@ def _pairing_masks(n, tau, d2, se, so, paired, tau_cap):
 
 def _upper_bound_row(fragment, n, tau, d2, se, so):
     if _upper_bound_fails(d2, se, so):
-        fragment["violations"].append({
-            "n": n,
-            "expected": f"k < {d2}+1/{d2}",
-            "actual": f"k={se}/{so}",
-        })
+        fragment["violations"].append(_violation(n, f"k < {d2}+1/{d2}", f"k={se}/{so}"))
 
 
 def _sigma_bounds_row(fragment, n, tau, d2, se, so):
     clauses = _sigma_bounds_clauses(n, tau, se, so)
     bad = [name for name, ok in clauses.items() if not ok and name != "tau4_bullet"]
     if bad:
-        fragment["violations"].append({
-            "n": n,
-            "expected": "bound chain holds",
-            "actual": "failed clauses: " + ",".join(bad),
-        })
+        fragment["violations"].append(
+            _violation(n, "bound chain holds", "failed clauses: " + ",".join(bad)))
     if not clauses.get("tau4_bullet", True):
         fragment["tau4_failures"].append(n)
 
@@ -442,11 +436,8 @@ def _pairing_row(fragment, n, tau, d2, se, so, paired):
             return
         fragment["applicable"] += 1
     if _pairing_fails(p, d2, paired):
-        fragment["violations"].append({
-            "n": n,
-            "expected": f"d_2j = {p} d_2j-1 for all j",
-            "actual": f"divisors {divisor_list_of(n)}",
-        })
+        fragment["violations"].append(
+            _violation(n, f"d_2j = {p} d_2j-1 for all j", f"divisors {divisor_list_of(n)}"))
 
 
 def _conjecture1_row(fragment, n, tau, d2, se, so):
@@ -455,7 +446,7 @@ def _conjecture1_row(fragment, n, tau, d2, se, so):
                   "odd n with tau = 2 mod 4 and 3 | n has k = 3")
     for fails, expected in zip(_conjecture1_fails(n, tau, d2, k), statements):
         if fails:
-            fragment["violations"].append({"n": n, "expected": expected, "actual": f"k={k}"})
+            fragment["violations"].append(_violation(n, expected, f"k={k}"))
 
 
 def _squares(lo, hi):
@@ -471,18 +462,11 @@ def _lower_bound_chunk(lo, hi):
         applicable += 1
         holds, equality = _lower_bound_verdict(d2, se, so)
         if not holds:
-            violations.append({
-                "n": n,
-                "expected": f"k >= {d2}/{d2 * d2 + 1}",
-                "actual": f"k={se}/{so}",
-            })
+            violations.append(_violation(n, f"k >= {d2}/{d2 * d2 + 1}", f"k={se}/{so}"))
         elif equality != (tau == 3):
             why = "equality" if equality else "strict inequality"
-            violations.append({
-                "n": n,
-                "expected": "equality exactly when n is a prime squared",
-                "actual": f"{why} with tau={tau}",
-            })
+            violations.append(_violation(n, "equality exactly when n is a prime squared",
+                                         f"{why} with tau={tau}"))
     return {"violations": violations, "applicable": applicable}
 
 
@@ -568,11 +552,9 @@ def scan_conjecture2(limit: int, **flags) -> ScanReport:
 
 def _conjecture3_tally(state):
     """One violation per k class held by more than one n; applicable counts the classes."""
-    violations = [{
-        "n": members[1],
-        "expected": f"k = {key} held only by {members[0]}",
-        "actual": f"shared by {members}",
-    } for key, members in state["seen"].items() if len(members) > 1]
+    violations = [_violation(members[1], f"k = {key} held only by {members[0]}",
+                             f"shared by {members}")
+                  for key, members in state["seen"].items() if len(members) > 1]
     return violations, len(state["seen"]), []
 
 
@@ -602,11 +584,7 @@ def scan_multiplier(n_max: int = 1000, samples: int = 500, seed: int = 2) -> Sca
         k = k_ratio(n)
         k2 = k_ratio(n * p**a)
         if k2 != k:
-            violations.append({
-                "n": n,
-                "expected": f"k({n}*{p}^{a}) = k({n}) = {k}",
-                "actual": str(k2),
-            })
+            violations.append(_violation(n, f"k({n}*{p}^{a}) = k({n}) = {k}", str(k2)))
     return _finish("multiplier", 2, n_max, violations, samples, t0,
                    samples=samples, exponents=list(_MULTIPLIER_EXPONENTS), seed=seed)
 
@@ -634,11 +612,7 @@ def scan_prime_power_distinct(limit: int) -> ScanReport:
         n = p**a
         k = k_ratio(n)
         if k in seen:
-            violations.append({
-                "n": n,
-                "expected": f"k distinct from k({seen[k]})",
-                "actual": f"k={k} shared",
-            })
+            violations.append(_violation(n, f"k distinct from k({seen[k]})", f"k={k} shared"))
         else:
             seen[k] = n
     return _finish("prime-power-distinct", 4, limit, violations, len(powers), t0)
@@ -651,9 +625,6 @@ def scan_unit_fraction(limit: int) -> ScanReport:
     violations = []
     for p, l in powers:
         if not check_unit_fraction_gap(p, l):
-            violations.append({
-                "n": p**l,
-                "expected": f"k({p}^{l}) in [p/(p^2+1), 1/p) and not a unit fraction",
-                "actual": str(k_ratio(p**l)),
-            })
+            expected = f"k({p}^{l}) in [p/(p^2+1), 1/p) and not a unit fraction"
+            violations.append(_violation(p**l, expected, str(k_ratio(p**l))))
     return _finish("unit-fraction", 4, limit, violations, len(powers), t0)

@@ -237,18 +237,29 @@ def sliced_table():
     return GkTable(1, SLICED_CLASSES * 100, classes)
 
 
-def resume_edited_log(capsys, tmp_path, classes, *flags):
-    """A table paused after one chunk, its log line given `classes` and re-signed with
-    the digest of its new fragment, as the log writes it; then resumed."""
+def resume_edited_log(capsys, tmp_path, command, edit, *flags):
+    """`command` paused after one chunk, its log line's fragment changed by `edit` and
+    re-signed with the digest of its new fragment, as the log writes it; then resumed."""
     ck = tmp_path / "t.ck"
-    argv = [*TABLE, "--max", "2000", "--chunk-size", "512", "--checkpoint", str(ck), *flags]
+    argv = [*command, "--max", "2000", "--chunk-size", "512", "--checkpoint", str(ck), *flags]
     run_cli(capsys, *argv, "--max-chunks", "1")
     head, line = ck.read_bytes().splitlines()
     doc = json.loads(line)
-    doc["fragment"]["classes"].update(classes)
+    edit(doc["fragment"])
     ck.write_bytes(head + b"\n" + scanner._chunk_line(
         doc["last_n"], scanner.encode_fragment(doc["fragment"])))
     return run_cli(capsys, *argv)
+
+
+def add_class(key, members):
+    """An edit of a G_k fragment that adds the class `key` with `members`."""
+    return lambda fragment: fragment["classes"].update({key: members})
+
+
+# keys that fullmatch no core._CLASS_KEY: none is a k as printed; "1 2" needs the
+# space count of scanner's one pass over the space-joined keys
+NO_PRINTED_K = ["%s/%d", 'a"b', "a,b", "", "2/", "1\n", "1 2"]
+NO_PRINTED_K_IDS = ["format", "quote", "comma", "empty", "slash-last", "newline-last", "space"]
 
 
 class TestTableSlices:
@@ -272,9 +283,9 @@ class TestTableSlices:
 
 
     def test_keys_and_members_render_as_they_stand(self):
-        # a resumed log's keys are checked for shape and digest only, and render_table
-        # checks no member: a "%" in a key, or a member that is no int, is rendered,
-        # not read as a format
+        # render_table checks no key and no member (a resumed log's are checked as it
+        # loads): a "%" in a key, or a member that is no int, is rendered, not read as
+        # a format
         classes = {str(i): [i] for i in range(1, 4096)}
         classes.update({"%s/%d": [1, 2], "100%": [3], "%": [4, 5, 6]})  # across a slice
         table = GkTable(1, 10**4, classes)
@@ -284,18 +295,27 @@ class TestTableSlices:
         assert cli.render_table(table, (), "json") == members_as_they_stand(indent2_table(table))
 
     @pytest.mark.parametrize("fmt, rendered", [
-        ("json", '"k": "%s/%d",\n      "count": 2,\n      "first_members": [\n        1,\n'
+        ("json", '"k": "1/1000",\n      "count": 2,\n      "first_members": [\n        1,\n'
                  '        2\n      ],\n      "last_members": [\n        1,\n        2\n      ]'),
-        ("csv", "\n%s/%d,2,1 2,1 2\n"),
+        ("csv", "\n1/1000,2,1 2,1 2\n"),
     ], ids=["json", "csv"])
     def test_edited_log_line_resumes_as_it_stands(self, capsys, tmp_path, fmt, rendered):
-        code, out, _ = resume_edited_log(capsys, tmp_path, {"%s/%d": [1, 2]}, "--format", fmt)
+        # a printed k that no n up to 2000 has, with int members: the log holds a
+        # class of the right form, so it resumes and renders as it stands
+        code, out, _ = resume_edited_log(capsys, tmp_path, TABLE,
+                                         add_class("1/1000", [1, 2]), "--format", fmt)
         assert code == 0
         assert rendered in out
 
     @pytest.mark.parametrize("member", ["y", True], ids=["text", "bool"])
     def test_edited_log_line_with_a_member_that_is_no_int_exits_2(self, capsys, tmp_path, member):
-        code, out, err = resume_edited_log(capsys, tmp_path, {"x": [member]})
+        code, out, err = resume_edited_log(capsys, tmp_path, TABLE, add_class("1/1000", [member]))
+        assert (code, out) == (2, "")
+        assert "malformed" in err
+
+    @pytest.mark.parametrize("key", NO_PRINTED_K, ids=NO_PRINTED_K_IDS)
+    def test_edited_log_line_with_a_key_that_is_no_printed_k_exits_2(self, capsys, tmp_path, key):
+        code, out, err = resume_edited_log(capsys, tmp_path, TABLE, add_class(key, [3, 4]))
         assert (code, out) == (2, "")
         assert "malformed" in err
 
@@ -515,6 +535,23 @@ class TestOutAndDeterminism:
         assert code == 2
         assert "malformed" in err
 
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    @pytest.mark.parametrize("item", [
+        1,
+        {"n": 600, "expected": "k < 2+1/2"},
+        {"n": 600, "expected": "k < 2+1/2", "actual": "k=3", "why": "edited"},
+        {"n": 600, "actual": "k=3", "expected": "k < 2+1/2"},
+        {"n": "600", "expected": "k < 2+1/2", "actual": "k=3"},
+    ], ids=["int", "no-actual", "extra-key", "reordered", "n-text"])
+    def test_edited_log_line_with_a_violation_that_is_no_record_exits_2(self, capsys, tmp_path,
+                                                                         item, fmt):
+        # re-signed, so that only the record check can refuse it
+        code, out, err = resume_edited_log(capsys, tmp_path, UPPER_BOUND,
+                                           lambda fragment: fragment["violations"].append(item),
+                                           "--format", fmt)
+        assert (code, out) == (2, "")
+        assert "malformed" in err
+
     def test_version_2_checkpoint_exits_2(self, capsys, tmp_path, monkeypatch):
         # version 2 keyed an integer class "2/1"; resuming it would mix two key forms
         ck = tmp_path / "t.ck"
@@ -603,28 +640,42 @@ def run_fresh(script, *argv, text=False, input=None):
 
 UNCHUNKED = ["multiplier", "prime-power-distinct", "unit-fraction"]
 CHUNK_FLAGS = {"--workers": "2", "--chunk-size": "7", "--checkpoint": "u.ck", "--max-chunks": "1"}
+SAMPLE_FLAGS = {"--seed": "9", "--samples": "3"}  # read by multiplier alone
+# each verify check with a flag it does not read, chunked and unchunked: a chunk
+# flag unless the check is a chunked scan, --seed and --samples unless it is multiplier
+UNREAD_FLAGS = [*((check, flag) for check in UNCHUNKED for flag in CHUNK_FLAGS),
+                *((check, flag) for check in ("upper-bound", "unit-fraction")
+                  for flag in SAMPLE_FLAGS)]
 
 
 class TestChunkFlagsOnUnchunkedChecks:
-    @pytest.mark.parametrize("flag", list(CHUNK_FLAGS))
-    @pytest.mark.parametrize("check", UNCHUNKED)
+    @pytest.mark.parametrize("check, flag", UNREAD_FLAGS)
     def test_command_line_flag_exits_2(self, capsys, tmp_path, monkeypatch, check, flag):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", check, "--max", "1000", flag, CHUNK_FLAGS[flag]])
+            cli.main(["verify", check, "--max", "1000",
+                      flag, {**CHUNK_FLAGS, **SAMPLE_FLAGS}[flag]])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert flag in err and check in err
         assert not (tmp_path / "u.ck").exists()
 
-    @pytest.mark.parametrize("check", UNCHUNKED)
+    @pytest.mark.parametrize("check", [*UNCHUNKED, "upper-bound"])
     def test_environment_and_config_file_stay_ignored(self, capsys, tmp_path, monkeypatch,
                                                       check):
-        # one config file serves every subcommand, so these values cannot be refused
+        # one config file serves every subcommand, so these values cannot be refused:
+        # each check is given, half by the environment and half by the file, the
+        # settings it does not read (chunked upper-bound reads the chunk ones)
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("DIVRANK_WORKERS", "2")
-        monkeypatch.setenv("DIVRANK_MAX_CHUNKS", "1")
-        (tmp_path / "divrank.cfg").write_text("checkpoint=u.ck\nchunk_size=7\n")
+        config = ""
+        if check in UNCHUNKED:
+            monkeypatch.setenv("DIVRANK_WORKERS", "2")
+            monkeypatch.setenv("DIVRANK_MAX_CHUNKS", "1")
+            config += "checkpoint=u.ck\nchunk_size=7\n"
+        if check != "multiplier":
+            monkeypatch.setenv("DIVRANK_SEED", "9")
+            config += "samples=3\n"
+        (tmp_path / "divrank.cfg").write_text(config)
         code, out, _ = run_cli(capsys, "verify", check, "--max", "1000",
                                "--config", "divrank.cfg")
         assert code == 0 and "status = verified" in out
@@ -643,6 +694,32 @@ class TestChunkFlagsOnUnchunkedChecks:
         code, _, err = run_cli(capsys, "verify", "upper-bound", "--max", "1000",
                                "--max-chunks", "1")
         assert code == 2 and "max_chunks requires a checkpoint" in err
+
+
+class TestRecordsMatchTheSchema:
+    """core states the G_k key and the violation record once; report_schema.json,
+    unedited, states them for the payloads."""
+
+    @pytest.fixture(scope="class")
+    def defs(self):
+        return json.loads(resources.files("divrank").joinpath("report_schema.json")
+                          .read_text())["$defs"]
+
+    def test_violation_keys(self, defs):
+        assert list(core._VIOLATION_KEYS) == defs["violation"]["required"]
+
+    def test_every_class_key_is_a_rational(self, defs):
+        rational = Draft202012Validator(defs["rational"])
+        keys = [core._class_key(se, so) for block in core.rank_blocks(1, 10**4)
+                for _, _, _, se, so in core.block_rows(block)]
+        assert len(keys) == 10**4
+        for key in keys:
+            assert core._CLASS_KEY.fullmatch(key) and rational.is_valid(key), key
+
+    @pytest.mark.parametrize("key", NO_PRINTED_K, ids=NO_PRINTED_K_IDS)
+    def test_refused_keys_fullmatch_no_class_key(self, key):
+        # fullmatch, not the schema's "$", which Python's re lets end before a "\n"
+        assert core._CLASS_KEY.fullmatch(key) is None
 
 
 class TestUsageErrorsNameTheSubcommand:
