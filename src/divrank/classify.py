@@ -19,7 +19,7 @@ from .core import (
     parse_rational,
     rank_blocks,
 )
-from .scanner import CHUNK_SIZE_DEFAULT, merge_fragments, register_task, run_scan
+from .scanner import merge_fragments, register_task, run_scan
 
 
 @dataclass
@@ -71,18 +71,15 @@ register_task("gk", _gk_chunk, {"classes": {}})
 register_task("irn", _irn_chunk, {"rows": []})
 
 
-def scan_range(lo: int, hi: int, *, workers: int = 1, chunk_size: int = CHUNK_SIZE_DEFAULT,
-               checkpoint: str | None = None, max_chunks: int | None = None) -> GkTable:
-    """Classify every n in [lo, hi] into its G_k class.
+def scan_range(lo: int, hi: int, **flags) -> GkTable:
+    """Classify every n in [lo, hi] into its G_k class; `flags` go to run_scan.
 
     Deterministic for any worker count; `checkpoint` makes the scan
     resumable and `max_chunks` bounds this call's chunk budget (raising
     ScanInterrupted once state is saved). Chunks merge in order and each
     key enters at its smallest member, so the classes come in that order.
     """
-    state = run_scan("gk", lo, hi, workers=workers, chunk_size=chunk_size,
-                     checkpoint=checkpoint, max_chunks=max_chunks)
-    return GkTable(lo, hi, state["classes"])
+    return GkTable(lo, hi, run_scan("gk", lo, hi, **flags)["classes"])
 
 
 def members_of_k(k: Fraction | int | str, limit: int, workers: int = 1) -> list[int]:

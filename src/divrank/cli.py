@@ -8,7 +8,8 @@ Exit codes: 0 success/verified, 1 violations found, 2 usage or I/O error.
 
 Every setting can also come from a key=value config file (--config) or an
 environment variable (DIVRANK_<NAME>); command line wins, then environment,
-then file, and one parser reads its text from each.
+then file, and one parser reads its text from each. `verify <check>` reads,
+beyond its limit, only the settings of its `theorems.CHECKS` row.
 
 `main` runs each command with the cyclic garbage collector off, as do its forked
 pool workers, then restores the caller's setting: scan state, fragments, checkpoint
@@ -27,39 +28,14 @@ import os
 import sys
 from itertools import islice
 
-from .classify import scan_range
+from . import classify
 from .core import _VIOLATION_KEYS, CheckpointError, ScanInterrupted, _class_key, parse_rational
-from .scanner import _TASKS, CHUNK_SIZE_DEFAULT, run_scan
+from .scanner import CHUNK_FLAGS, CHUNK_SIZE_DEFAULT, run_scan
 from .sigma import profile
-from .theorems import (
-    ScanReport,
-    scan_conjecture1,
-    scan_conjecture2,
-    scan_conjecture3,
-    scan_lower_bound,
-    scan_multiplier,
-    scan_pairing,
-    scan_prime_power_distinct,
-    scan_sigma_bounds,
-    scan_unit_fraction,
-    scan_upper_bound,
-)
+from .theorems import CHECKS, ScanReport
 
 ENV_PREFIX = "DIVRANK_"
 
-# check -> scanner; `scan N` runs conjecture-N. Chunked checks register a scanner task.
-CHECKS = {
-    "upper-bound": scan_upper_bound,
-    "lower-bound": scan_lower_bound,
-    "sigma-bounds": scan_sigma_bounds,
-    "multiplier": scan_multiplier,
-    "pairing": scan_pairing,
-    "prime-power-distinct": scan_prime_power_distinct,
-    "unit-fraction": scan_unit_fraction,
-    "conjecture-1": scan_conjecture1,
-    "conjecture-2": scan_conjecture2,
-    "conjecture-3": scan_conjecture3,
-}
 VERIFY_CHECKS = tuple(name for name in CHECKS if not name.startswith("conjecture-"))
 
 CSV_PROFILE_COLUMNS = ("n", "tau", "sigma_e", "sigma_o", "k", "is_index_ratio")
@@ -136,18 +112,28 @@ def load_config_file(path):
 
 
 def resolve_settings(parser, args):
-    """Parse each setting the subcommand takes from the first source that gives its
+    """Parse each setting the subcommand reads from the first source that gives its
     text: the flag, then the DIVRANK_* variable, then the config file. A setting
-    given nowhere takes its default, and `args.defaulted` names it."""
+    given nowhere takes its default, and `args.defaulted` names it. Of the settings
+    CHECKS rows name, verify refuses the flag of one outside its check's row and
+    leaves its DIVRANK_* or config text unparsed, as one file serves every subcommand."""
     try:
         file_values = load_config_file(args.config) if args.config else {}
     except (OSError, ValueError) as exc:
         parser.error(f"cannot read config file: {exc}")
     args.defaulted = set()
+    check = getattr(args, "check", None)  # verify's; scan's conjectures read all scan has
+    unread = {name for _, row in CHECKS.values() for name in row}.difference(
+        CHECKS[check][1]) if check else ()
     for name, (parse, default, _, _) in SETTINGS.items():
         if not hasattr(args, name):
             continue
         raw, env = getattr(args, name), ENV_PREFIX + name.upper()
+        if name in unread:
+            if raw is not None:
+                why = "is not a chunked scan" if name in CHUNK_FLAGS else "draws no samples"
+                parser.error(f"{_flag(name)} does not apply to verify {check}, which {why}")
+            continue
         if raw is not None:  # a repeated --k gives a list, read as one comma list
             raw, source = (",".join(raw) if isinstance(raw, list) else raw), _flag(name)
         elif env in os.environ:
@@ -352,41 +338,17 @@ def cmd_profile(args):
     return 0
 
 
-def _chunk_flags(args):
-    return dict(workers=args.workers, chunk_size=args.chunk_size,
-                checkpoint=args.checkpoint, max_chunks=args.max_chunks)
-
-
-def _refuse_unread_flags(parser, args):
-    """Exit 2 on a flag that the verify check does not read: a chunk flag unless it is a
-    chunked scan, --seed or --samples unless it is multiplier. Run before resolve_settings,
-    it sees only the command line: DIVRANK_* and config values may serve any subcommand."""
-    check = getattr(args, "check", None)
-    if check is None:
-        return
-    unread = {} if check in _TASKS else dict.fromkeys(_chunk_flags(args), "is not a chunked scan")
-    if check != "multiplier":
-        unread.update(seed="draws no samples", samples="draws no samples")
-    for name, why in unread.items():
-        if getattr(args, name) is not None:
-            parser.error(f"{_flag(name)} does not apply to verify {check}, which {why}")
-
-
 def cmd_table(args):
-    table = scan_range(1, args.max, **_chunk_flags(args))
+    table = classify.scan_range(1, args.max, **{name: getattr(args, name) for name in CHUNK_FLAGS})
     emit(render_table(table, args.k, args.format), args.out)
     return 0
 
 
 def _run_check(check, args):
-    scan = CHECKS[check]
-    if check in _TASKS:
-        report = scan(args.max, **_chunk_flags(args))
-    elif check == "multiplier":  # without --max it keeps scan_multiplier's own n_max
-        n_max = {} if "max" in args.defaulted else {"n_max": args.max}
-        report = scan(**n_max, samples=args.samples, seed=args.seed)
-    else:
-        report = scan(args.max)
+    scan, keywords = CHECKS[check]
+    # without --max, multiplier keeps scan_multiplier's own n_max
+    limit = () if check == "multiplier" and "max" in args.defaulted else (args.max,)
+    report = scan(*limit, **{name: getattr(args, name) for name in keywords})
     emit(render_report(report, args.format, args.timing), args.out)
     return 1 if report.status == "violated" else 0
 
@@ -458,7 +420,6 @@ def main(argv=None):
     gc.disable()  # forked pool workers inherit this; see the module docstring
     try:
         args = build_parser().parse_args(argv)
-        _refuse_unread_flags(args.parser, args)
         resolve_settings(args.parser, args)
         return args.func(args)
     except ScanInterrupted as exc:

@@ -241,6 +241,9 @@ def _refuse_unwritable(path):
         os.remove(probe)
 
 
+CHUNK_FLAGS = ("workers", "chunk_size", "checkpoint", "max_chunks")  # run_scan's keywords
+
+
 def run_scan(task, lo, hi, *, workers=1, chunk_size=CHUNK_SIZE_DEFAULT,
              checkpoint=None, max_chunks=None):
     """Run a registered task over [lo, hi]; returns the merged final state.

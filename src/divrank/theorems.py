@@ -35,7 +35,7 @@ from .core import (
     primes_upto,
     rank_blocks,
 )
-from .scanner import CHUNK_SIZE_DEFAULT, register_task, run_scan
+from .scanner import CHUNK_FLAGS, CHUNK_SIZE_DEFAULT, register_task, run_scan
 from .sigma import is_perfect_square, k_ratio, profile
 
 BOUNDED_EVIDENCE = (
@@ -490,8 +490,8 @@ register_task("conjecture-3", _conjecture3_chunk, {"seen": {}})
 
 
 # ---------------------------------------------------------------------------
-# range scanners; the chunked ones pass their keyword `flags` (workers,
-# chunk_size, checkpoint, max_chunks) on to run_scan
+# range scanners; the chunked ones pass their keyword `flags`, any of
+# scanner.CHUNK_FLAGS, on to run_scan
 
 
 def _tally(state):
@@ -628,3 +628,19 @@ def scan_unit_fraction(limit: int) -> ScanReport:
             expected = f"k({p}^{l}) in [p/(p^2+1), 1/p) and not a unit fraction"
             violations.append(_violation(p**l, expected, str(k_ratio(p**l))))
     return _finish("unit-fraction", 4, limit, violations, len(powers), t0)
+
+
+# check -> (scanner, the settings it takes as keywords): all `verify <check>` reads
+# beyond its limit; `scan N` runs conjecture-N. A chunked check takes run_scan's.
+CHECKS = {
+    "upper-bound": (scan_upper_bound, CHUNK_FLAGS),
+    "lower-bound": (scan_lower_bound, CHUNK_FLAGS),
+    "sigma-bounds": (scan_sigma_bounds, CHUNK_FLAGS),
+    "multiplier": (scan_multiplier, ("samples", "seed")),
+    "pairing": (scan_pairing, CHUNK_FLAGS),
+    "prime-power-distinct": (scan_prime_power_distinct, ()),
+    "unit-fraction": (scan_unit_fraction, ()),
+    "conjecture-1": (scan_conjecture1, CHUNK_FLAGS),
+    "conjecture-2": (scan_conjecture2, CHUNK_FLAGS),
+    "conjecture-3": (scan_conjecture3, CHUNK_FLAGS),
+}

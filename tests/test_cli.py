@@ -1,6 +1,7 @@
 import csv
 import gc
 import hashlib
+import inspect
 import io
 import json
 import multiprocessing
@@ -18,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from divrank import cli, core, scanner
+from divrank import cli, core, scanner, theorems
 from divrank.classify import GkTable
 
 
@@ -517,13 +518,17 @@ class TestOutAndDeterminism:
         (TABLE, lambda doc: doc["fragment"]["classes"].update({"2": 7})),
         (UPPER_BOUND, lambda doc: doc["fragment"].update(violations=5)),
         (UPPER_BOUND, lambda doc: doc["fragment"].update(applicable=True)),
-        # well-shaped edits that change the result: only the fragment digest catches them
         (UPPER_BOUND, lambda doc: doc["fragment"].update(violations=[5])),
         (TABLE, lambda doc: next(iter(doc["fragment"]["classes"].values())).append("x")),
+        # well-shaped edits that change the result: only the fragment digest catches them
+        (UPPER_BOUND, lambda doc: doc["fragment"]["violations"].append(
+            core._violation(600, "k < 2+1/2", "k=3"))),
+        (TABLE, lambda doc: next(iter(doc["fragment"]["classes"].values())).append(7)),
     ], ids=["last_n-string", "last_n-null", "state-list", "state-missing-field",
             "state-extra-field", "state-class-int", "state-violations-int",
-            "state-applicable-bool", "state-forged-violation", "state-class-extra-member"])
-    def test_malformed_checkpoint_field_exits_2(self, capsys, tmp_path, command, mutate):
+            "state-applicable-bool", "state-violation-no-record", "state-class-text-member",
+            "state-forged-violation", "state-class-extra-member"])
+    def test_malformed_checkpoint_field_exits_2(self, capsys, tmp_path, command, mutate, request):
         ck = tmp_path / "t.ck"
         argv = [*command, "--max", "2000", "--chunk-size", "512", "--checkpoint", str(ck)]
         run_cli(capsys, *argv, "--max-chunks", "1")
@@ -534,6 +539,9 @@ class TestOutAndDeterminism:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert "malformed" in err
+        well_shaped = request.node.callspec.id in ("state-forged-violation",
+                                                   "state-class-extra-member")
+        assert ("digest mismatch" in err) == well_shaped
 
     @pytest.mark.parametrize("fmt", cli.FORMATS)
     @pytest.mark.parametrize("item", [
@@ -681,6 +689,24 @@ class TestChunkFlagsOnUnchunkedChecks:
         assert code == 0 and "status = verified" in out
         assert not (tmp_path / "u.ck").exists()
 
+    @pytest.mark.parametrize("check, env, config", [
+        ("upper-bound", {"DIVRANK_SEED": "abc"}, ""),
+        ("upper-bound", {}, "samples=0\n"),
+        ("unit-fraction", {"DIVRANK_WORKERS": "0"}, ""),
+        ("unit-fraction", {}, "chunk_size=x\n"),
+    ], ids=["upper-bound-env-seed", "upper-bound-file-samples", "unit-fraction-env-workers",
+            "unit-fraction-file-chunk-size"])
+    def test_bad_text_for_a_setting_it_does_not_read_is_ignored(self, capsys, tmp_path,
+                                                                monkeypatch, check, env, config):
+        # text no parser would accept, for a setting outside the check's CHECKS row
+        monkeypatch.chdir(tmp_path)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        (tmp_path / "divrank.cfg").write_text(config)
+        code, out, _ = run_cli(capsys, "verify", check, "--max", "1000",
+                               "--config", "divrank.cfg")
+        assert code == 0 and "status = verified" in out
+
     def test_chunked_check_still_takes_them(self, capsys, tmp_path):
         ck = tmp_path / "u.ck"
         argv = ["verify", "upper-bound", "--max", "1000", "--workers", "2",
@@ -696,9 +722,27 @@ class TestChunkFlagsOnUnchunkedChecks:
         assert code == 2 and "max_chunks requires a checkpoint" in err
 
 
+class TestCheckRows:
+    """theorems.CHECKS states once what each check reads; cli passes only that."""
+
+    def test_rows_match_the_tasks_and_the_scanners(self):
+        rows = theorems.CHECKS
+        run_scan = inspect.signature(scanner.run_scan).parameters
+        assert scanner.CHUNK_FLAGS == tuple(name for name, p in run_scan.items()
+                                            if p.kind is p.KEYWORD_ONLY)
+        chunked = {name for name, (_, keywords) in rows.items()
+                   if keywords == scanner.CHUNK_FLAGS}
+        assert chunked == rows.keys() & scanner._TASKS.keys()
+        for name, (scan, keywords) in rows.items():
+            if name not in chunked:
+                assert set(keywords) <= inspect.signature(scan).parameters.keys(), name
+        conjectures = [f"conjecture-{n}" for n in (1, 2, 3)]
+        assert [*cli.VERIFY_CHECKS, *conjectures] == list(rows)
+
+
 class TestRecordsMatchTheSchema:
-    """core states the G_k key and the violation record once; report_schema.json,
-    unedited, states them for the payloads."""
+    """core states the G_k key and the violation record once; report_schema.json
+    states them for the payloads."""
 
     @pytest.fixture(scope="class")
     def defs(self):
@@ -718,8 +762,13 @@ class TestRecordsMatchTheSchema:
 
     @pytest.mark.parametrize("key", NO_PRINTED_K, ids=NO_PRINTED_K_IDS)
     def test_refused_keys_fullmatch_no_class_key(self, key):
-        # fullmatch, not the schema's "$", which Python's re lets end before a "\n"
+        # fullmatch, not "$", which Python's re lets end before a final "\n"
         assert core._CLASS_KEY.fullmatch(key) is None
+
+    @pytest.mark.parametrize("key", NO_PRINTED_K, ids=NO_PRINTED_K_IDS)
+    def test_rational_refuses_every_key_that_is_no_printed_k(self, defs, key):
+        # jsonschema matches "pattern" by re.search: "(?!\n)$" keeps "1\n" out
+        assert not Draft202012Validator(defs["rational"]).is_valid(key)
 
 
 class TestUsageErrorsNameTheSubcommand:
