@@ -13,10 +13,10 @@ from fractions import Fraction
 from .core import (
     RangeOverlapError,
     _class_key,
+    _class_key_of,
     _rank_row,
     block_rows,
     divisor_list_of,
-    parse_rational,
     rank_blocks,
 )
 from .scanner import merge_fragments, register_task, run_scan
@@ -32,8 +32,7 @@ class GkTable:
 
     def members(self, k: Fraction | int | str) -> list[int]:
         """The class of k; a string is parsed first, so "18/10" finds "9/5"."""
-        q = parse_rational(k) if isinstance(k, str) else Fraction(k)
-        return self.classes.get(_class_key(q.numerator, q.denominator), [])
+        return self.classes.get(_class_key_of(k), [])
 
 
 def is_index_ratio(n: int) -> bool:
@@ -86,7 +85,8 @@ def members_of_k(k: Fraction | int | str, limit: int, workers: int = 1) -> list[
     """All n <= limit with k(n) = k, ascending."""
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    return scan_range(1, limit, workers=workers).members(k)
+    key = _class_key_of(k)  # a k that is no rational is refused before the scan
+    return scan_range(1, limit, workers=workers).classes.get(key, [])
 
 
 def enumerate_index_ratio(limit: int, workers: int = 1) -> list[int]:

@@ -29,7 +29,7 @@ import sys
 from itertools import islice
 
 from . import classify
-from .core import _VIOLATION_KEYS, CheckpointError, ScanInterrupted, _class_key, parse_rational
+from .core import _VIOLATION_KEYS, CheckpointError, ScanInterrupted, _class_key, _class_key_of
 from .scanner import CHUNK_FLAGS, CHUNK_SIZE_DEFAULT, run_scan
 from .sigma import profile
 from .theorems import CHECKS, ScanReport
@@ -67,7 +67,7 @@ def _parse_format(text):
 def _parse_classes(text):
     """The G_k class keys a comma list of rationals names: "18/10" names "9/5". An
     empty entry names no class and is refused, so "" never means every class."""
-    return [_class_key(*parse_rational(q).as_integer_ratio()) for q in text.split(",")]
+    return [_class_key_of(q) for q in text.split(",")]
 
 
 # name -> (parser, default, metavar, help) of each setting a flag, a DIVRANK_*
@@ -371,7 +371,7 @@ def cmd_irn(args):
 # parser
 
 
-_SCAN_SETTINGS = ("format", "out", "max", "workers", "chunk_size", "checkpoint", "max_chunks")
+_SCAN_SETTINGS = ("format", "out", "max", *CHUNK_FLAGS)
 
 
 def _add_subcommand(subs, name, func, summary, settings):

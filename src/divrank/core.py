@@ -15,8 +15,8 @@ the squares scans' among them, take the (p, e) pairs of one trial-division
 helper, `_prime_pairs`, and one flat expansion, `_expand`, which
 `divisors_sorted` shares; `divisor_list_of` builds no Factorization (the 6,324
 squares up to 4e7: 57 -> 40 ms, BENCH_pr18.json). `_rank_row` gives one n's
-kernel row in Python ints. Beside it is the one place that makes a G_k class key,
-`_class_key` (which `_CLASS_KEY` fullmatches), and a counterexample, `_violation`.
+kernel row in Python ints. Beside it are the one place that makes a G_k class key,
+`_class_key` (of se/so, or `_class_key_of` of a given k), and a counterexample, `_violation`.
 Rationals are stdlib ``fractions.Fraction``, always in canonical reduced form
 with a positive denominator, which renders as "num/den" (eliding "/1").
 """
@@ -222,6 +222,12 @@ def _class_key(se, so):
     class, which chunks, checkpoints and output carry unchanged; no other code makes one."""
     g = gcd(se, so)
     return f"{se // g}/{so // g}" if so != g else str(se // g)
+
+
+def _class_key_of(k):
+    """The class key of k, a Fraction, an int or a text: "18/10" names "9/5"."""
+    q = parse_rational(k) if isinstance(k, str) else Fraction(k)
+    return _class_key(q.numerator, q.denominator)
 
 
 _CLASS_KEY = re.compile(r"[0-9]+(?:/[0-9]+)?")  # every key made or resumed: schema's rational

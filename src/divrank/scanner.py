@@ -4,7 +4,8 @@ A scan partitions [lo, hi] into fixed-size contiguous chunks, runs a
 registered per-chunk task, and merges fragments in chunk order. Output is
 therefore identical for any worker count, and a run interrupted at a chunk
 boundary resumes from its checkpoint to the same result. A checkpoint is an
-append-only log: a header line, then one line per chunk with its fragment.
+append-only log: a header line, written alone before any pool opens, then a
+line per chunk; a fresh scan reads, appends to and removes it as a resume does.
 
 With a checkpoint, the process that computes a chunk also encodes its
 fragment, once, as the compact JSON its log line holds. run_scan alone folds
@@ -12,10 +13,10 @@ fragments into state, the resumed ones first, and only in a call that finishes
 the scan: a run that `max_chunks` pauses appends its chunks' lines and decodes
 none of them, and load_checkpoint decodes a log's lines only to validate them.
 
-A resumed log's header is checked before any chunk runs, so a log of another
-version, task or configuration is refused before any pool opens. The pool then
-gets the chunks left, and the resumed lines are decoded and checked while the
-workers compute. At most 2 x workers chunks are handed out ahead of the fold.
+A log's header is checked before any chunk runs, so a log of another version,
+task or configuration is refused before any pool opens. The pool then gets the
+chunks left, and the resumed lines are decoded and checked while the workers
+compute. At most 2 x workers chunks are handed out ahead of the fold.
 On any raise, Ctrl-C included, the scan hands out no more chunks, and close()
 and join() wait for those in flight; no path calls the pool's terminate().
 Workers ignore SIGINT, so only the parent sees Ctrl-C.
@@ -128,24 +129,31 @@ def _write_synced(path, mode, data):
         os.fsync(fh.fileno())
 
 
-def save_checkpoint(path, task, config_hash, last_n, body):
+def save_checkpoint(path, last_n, body):
     """Append the chunk ending at `last_n`, its fragment encoded as `body` by
-    encode_fragment, to the log at `path` with a single write, so a kill tears at
-    most that line. A new log appears whole, by rename, with its header line:
-    {version, task, config_hash}."""
-    line = _chunk_line(last_n, body)
-    if os.path.exists(path):
-        _write_synced(path, "ab", line)
-        return
-    head = json.dumps({"version": CHECKPOINT_VERSION, "task": task, "config_hash": config_hash},
-                      separators=(",", ":"))
-    _write_synced(f"{path}.tmp", "wb", head.encode() + b"\n" + line)
-    os.replace(f"{path}.tmp", path)
+    encode_fragment, to the log _start_log began at `path`: one write and one
+    fsync, so a kill tears at most that line."""
+    _write_synced(path, "ab", _chunk_line(last_n, body))
+
+
+def _start_log(path, task, config_hash):
+    """Begin the log at `path` before any pool opens, so an unwritable path costs no
+    chunk. A missing log is written whole, its header line {version, task, config_hash}
+    alone, as PATH.tmp, fsync'd and renamed; an existing one is opened for append."""
+    try:
+        if os.path.exists(path):
+            open(path, "ab").close()
+            return
+        head = {"version": CHECKPOINT_VERSION, "task": task, "config_hash": config_hash}
+        _write_synced(f"{path}.tmp", "wb", json.dumps(head, separators=(",", ":")).encode() + b"\n")
+        os.replace(f"{path}.tmp", path)
+    except OSError as exc:
+        raise OSError(exc.errno, f"cannot write checkpoint {path}: {exc.strerror}") from exc
 
 
 def load_checkpoint(path, task, config_hash, chunk_ends):
-    """(count, fragments) of the log save_checkpoint appends to: the number of its
-    chunk lines, counted without decoding any, and a one-pass generator of their
+    """(count, fragments) of a log that _start_log began: the number of its chunk
+    lines, counted without decoding any, and a one-pass generator of their
     validated fragments, in chunk order.
 
     The log is read, and its header checked, at the call: a log of another version,
@@ -229,18 +237,6 @@ def _same_shape(state, empty):
         for key, value in state.items())
 
 
-def _refuse_unwritable(path):
-    """OSError naming `path` unless save_checkpoint can write there. It runs before
-    any pool opens, so a path that cannot be written costs no chunk."""
-    probe = path if os.path.exists(path) else f"{path}.tmp"
-    try:
-        open(probe, "ab").close()
-    except OSError as exc:
-        raise OSError(exc.errno, f"cannot write checkpoint {path}: {exc.strerror}") from exc
-    if probe != path:
-        os.remove(probe)
-
-
 CHUNK_FLAGS = ("workers", "chunk_size", "checkpoint", "max_chunks")  # run_scan's keywords
 
 
@@ -262,10 +258,7 @@ def run_scan(task, lo, hi, *, workers=1, chunk_size=CHUNK_SIZE_DEFAULT,
         raise ValueError("max_chunks must be >= 1")
     if max_chunks is not None and not checkpoint:
         raise ValueError("max_chunks requires a checkpoint path to resume from")
-    if checkpoint:
-        _refuse_unwritable(checkpoint)
     _, merge_fn, empty_fn = _TASKS[task]
-    digest = config_digest(task, lo, hi, chunk_size) if checkpoint else None
 
     def end(a):
         return min(a + chunk_size - 1, hi)
@@ -273,7 +266,9 @@ def run_scan(task, lo, hi, *, workers=1, chunk_size=CHUNK_SIZE_DEFAULT,
     # chunk starts as a range, sliced and counted without listing a chunk
     starts = range(lo, hi + 1, chunk_size)
     count, resumed = 0, ()
-    if checkpoint and os.path.exists(checkpoint):  # its header is checked here, its lines below
+    if checkpoint:  # a fresh log holds 0 chunks; its header is checked here, its lines below
+        digest = config_digest(task, lo, hi, chunk_size)
+        _start_log(checkpoint, task, digest)
         count, resumed = load_checkpoint(checkpoint, task, digest, map(end, starts))
     left = starts[count:]  # empty when a resumed scan had finished: it still cleans up
     todo = left if max_chunks is None else left[:max_chunks]
@@ -299,7 +294,7 @@ def run_scan(task, lo, hi, *, workers=1, chunk_size=CHUNK_SIZE_DEFAULT,
                 state = merge_fn(state, frag)
         for a, frag in zip(todo, frags):
             if checkpoint:  # frag holds the line's encoded body
-                save_checkpoint(checkpoint, task, digest, end(a), frag)
+                save_checkpoint(checkpoint, end(a), frag)
             if not pausing:
                 state = merge_fn(state, json.loads(frag) if checkpoint else frag)
             window.release()
@@ -312,6 +307,6 @@ def run_scan(task, lo, hi, *, workers=1, chunk_size=CHUNK_SIZE_DEFAULT,
 
     if pausing:
         raise ScanInterrupted(checkpoint, end(todo[-1]))
-    if checkpoint and os.path.exists(checkpoint):
+    if checkpoint:
         os.remove(checkpoint)
     return state

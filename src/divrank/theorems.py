@@ -581,10 +581,9 @@ def scan_multiplier(n_max: int = 1000, samples: int = 500, seed: int = 2) -> Sca
             n = rng.randint(2, n_max)
         p = next_prime_above(n)
         a = rng.choice(_MULTIPLIER_EXPONENTS)
-        k = k_ratio(n)
-        k2 = k_ratio(n * p**a)
-        if k2 != k:
-            violations.append(_violation(n, f"k({n}*{p}^{a}) = k({n}) = {k}", str(k2)))
+        if not check_multiplier(n, p, a):
+            violations.append(_violation(n, f"k({n}*{p}^{a}) = k({n}) = {k_ratio(n)}",
+                                         str(k_ratio(n * p**a))))
     return _finish("multiplier", 2, n_max, violations, samples, t0,
                    samples=samples, exponents=list(_MULTIPLIER_EXPONENTS), seed=seed)
 

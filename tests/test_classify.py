@@ -440,6 +440,14 @@ class TestMembersOfK:
     def test_limit_below_1_refused_up_front(self, scan, limit):
         with pytest.raises(ValueError, match=f"^limit must be >= 1, got {limit}$"):
             scan(limit)
+    def test_k_that_is_no_rational_refused_before_the_scan(self, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned before k was read")
+
+        monkeypatch.setattr("divrank.classify.run_scan", no_scan)
+        with pytest.raises(ValueError, match="^not a rational: 'abc'$"):
+            members_of_k("abc", 10)
+
     def test_spec_rows_small(self):
         assert members_of_k(Fraction(2, 5), 1000) == [4]
         assert members_of_k("3/10", 1000) == [9]
@@ -478,13 +486,14 @@ class TestEnumerateIndexRatio:
 class TestCheckpoint:
     def test_round_trip_bytes(self, tmp_path):
         path = tmp_path / "ck.json"
-        save_checkpoint(path, "gk", "abc123", 64,
-                        encode_fragment({"classes": {"2": [2, 6], "9/5": [12]}}))
+        scanner._start_log(path, "gk", "abc123")
+        save_checkpoint(path, 64, encode_fragment({"classes": {"2": [2, 6], "9/5": [12]}}))
         first = path.read_bytes()
         count, (fragment,) = load_checkpoint(path, "gk", "abc123", [64])  # the one chunk logged
         assert count == 1
         path.unlink()
-        save_checkpoint(path, "gk", "abc123", 64, encode_fragment(fragment))
+        scanner._start_log(path, "gk", "abc123")
+        save_checkpoint(path, 64, encode_fragment(fragment))
         assert path.read_bytes() == first
 
     @pytest.mark.parametrize("max_chunks", [0, -1])
@@ -517,17 +526,35 @@ class TestCheckpoint:
         assert f"cannot write checkpoint {path}:" in str(refused.value)
         assert os.listdir(tmp_path) == []
 
-    def test_checkpoint_probe_changes_no_file(self, tmp_path):
+    def test_start_log_writes_only_a_missing_log(self, tmp_path):
         path = tmp_path / "x.ck"
-        scanner._refuse_unwritable(str(path))
-        assert os.listdir(tmp_path) == []
+        scanner._start_log(str(path), "gk", "abc123")
+        head = b'{"version":4,"task":"gk","config_hash":"abc123"}\n'
+        assert (os.listdir(tmp_path), path.read_bytes()) == (["x.ck"], head)
         path.write_bytes(b"log\n")
-        scanner._refuse_unwritable(str(path))
+        scanner._start_log(str(path), "gk", "abc123")
         assert (os.listdir(tmp_path), path.read_bytes()) == (["x.ck"], b"log\n")
+
+    def test_log_holds_its_header_alone_while_the_first_chunk_runs(self, tmp_path,
+                                                                   monkeypatch):
+        path = tmp_path / "scan.ck"
+        chunk_fn, merge_fn, empty_fn = scanner._TASKS["gk"]
+        seen = []
+
+        def chunk(lo, hi):
+            seen.append(path.read_bytes())
+            return chunk_fn(lo, hi)
+
+        monkeypatch.setitem(scanner._TASKS, "gk", (chunk, merge_fn, empty_fn))
+        with pytest.raises(ScanInterrupted):
+            scan_range(1, 2000, chunk_size=256, checkpoint=str(path), max_chunks=1)
+        head = {"version": 4, "task": "gk", "config_hash": config_digest("gk", 1, 2000, 256)}
+        assert seen == [json.dumps(head, separators=(",", ":")).encode() + b"\n"]
 
     def test_config_mismatch_rejected(self, tmp_path):
         path = tmp_path / "ck.json"
-        save_checkpoint(path, "gk", "abc123", 64, encode_fragment({"classes": {}}))
+        scanner._start_log(path, "gk", "abc123")
+        save_checkpoint(path, 64, encode_fragment({"classes": {}}))
         with pytest.raises(CheckpointError):
             load_checkpoint(path, "gk", "zzz", [64])
         with pytest.raises(CheckpointError):

@@ -570,8 +570,8 @@ class TestOutAndDeterminism:
         ck.unlink()
         with monkeypatch.context() as m:
             m.setattr(scanner, "CHECKPOINT_VERSION", 2)
-            scanner.save_checkpoint(ck, "gk", head["config_hash"], line["last_n"],
-                                    scanner.encode_fragment({"classes": classes}))
+            scanner._start_log(ck, "gk", head["config_hash"])
+        scanner.save_checkpoint(ck, line["last_n"], scanner.encode_fragment({"classes": classes}))
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert "unsupported checkpoint version" in err
@@ -614,6 +614,26 @@ class TestOutAndDeterminism:
         assert code == 0 and ran[:2] == [2049, 3073] and not ck.exists()
         assert resumed == run_cli(capsys, *TABLE, "--max", "20000")[1]
 
+    def test_run_stopped_in_its_first_chunk_leaves_a_header_that_resumes(self, capsys, tmp_path,
+                                                                         monkeypatch):
+        ck = tmp_path / "t.ck"
+        argv = [*TABLE, "--max", "2000", "--chunk-size", "512", "--checkpoint", str(ck)]
+        chunk_fn, merge_fn, empty_fn = scanner._TASKS["gk"]
+
+        def interrupted(lo, hi):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as m:
+            m.setitem(scanner._TASKS, "gk", (interrupted, merge_fn, empty_fn))
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(argv)
+        head = {"version": 4, "task": "gk",
+                "config_hash": scanner.config_digest("gk", 1, 2000, 512)}
+        assert ck.read_bytes() == json.dumps(head, separators=(",", ":")).encode() + b"\n"
+        code, resumed, _ = run_cli(capsys, *argv)
+        assert code == 0 and not ck.exists()
+        assert resumed == run_cli(capsys, *TABLE, "--max", "2000")[1]
+
 
 # test-only hook: the third checkpoint append writes half its line, then the
 # process SIGKILLs itself, as a kill in the middle of a write would leave it
@@ -621,10 +641,10 @@ TEAR_THIRD_APPEND = """
 import os, signal, sys
 from divrank import cli, scanner
 appends = []
-def save_checkpoint(path, task, config_hash, last_n, fragment):
+def save_checkpoint(path, last_n, fragment):
     appends.append(last_n)
     if len(appends) < 3:
-        return save(path, task, config_hash, last_n, fragment)
+        return save(path, last_n, fragment)
     line = scanner._chunk_line(last_n, fragment)
     with open(path, "ab") as fh:
         fh.write(line[:len(line) // 2])

@@ -293,6 +293,20 @@ class TestMultiplier:
         assert report.applicable == 500
         assert report.config["seed"] == 2
 
+    def test_scan_reports_exactly_the_samples_check_multiplier_refuses(self, monkeypatch):
+        check, samples = theorems.check_multiplier, []
+
+        def even_only(n, p, a):
+            samples.append((n, p, a))
+            return n % 2 == 0 and check(n, p, a)
+
+        monkeypatch.setattr(theorems, "check_multiplier", even_only)
+        report = scan_multiplier(n_max=1000, samples=50, seed=11)
+        assert len(samples) == 50
+        assert report.violations == [
+            {"n": n, "expected": f"k({n}*{p}^{a}) = k({n}) = {k_ratio(n)}",
+             "actual": str(k_ratio(n * p**a))} for n, p, a in samples if n % 2]
+
     def test_scan_deterministic_in_seed(self):
         a = scan_multiplier(samples=50, seed=11)
         b = scan_multiplier(samples=50, seed=11)
