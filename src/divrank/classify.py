@@ -3,7 +3,11 @@
 A GkTable maps each k, keyed as printed ("2", "9/5") by `core._class_key` alone,
 to the ascending list of its members in a range; every n belongs to exactly
 one class. Index ratio numbers are the n whose k(n) is a nonnegative integer.
-A chunk groups each kernel block by class with np.gcd and a stable np.lexsort."""
+A chunk groups each kernel block by class once, with np.gcd and a stable np.lexsort,
+and takes one of two outputs from that grouping: the dict of classes, folded in
+process or sent back from a pool worker, or, under a checkpoint, the compact JSON
+text of the chunk's log line, written straight from the grouped arrays with one
+% template per chunk, without the dict or json.dumps."""
 
 from __future__ import annotations
 
@@ -11,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import (
+    _BLOCK,
     RangeOverlapError,
     _class_key,
     _class_key_of,
@@ -41,18 +46,82 @@ def is_index_ratio(n: int) -> bool:
     return se % so == 0
 
 
-def _gk_chunk(lo, hi):
+def _grouped(n, e, o):
+    """`n` reordered so that the n of each (e, o) form one run, ascending (the sort
+    is stable), and each run's first and stop index, e and o, runs by first n."""
     import numpy as np  # not with the module: commands that walk no block never load it
-    classes: dict[str, list[int]] = {}
+    order = np.lexsort((o, e))
+    n, e, o = n[order], e[order], o[order]
+    start = np.flatnonzero(np.r_[True, (e[1:] != e[:-1]) | (o[1:] != o[:-1]), True])
+    runs = np.argsort(n[start[:-1]])
+    first = start[:-1][runs]
+    return n, first, start[1:][runs], e[first], o[first]
+
+
+def _class_blocks(lo, hi):
+    """Each kernel block of [lo, hi] grouped by class: its members and runs, as _grouped
+    gives them, of k = e/o reduced by np.gcd."""
+    import numpy as np
     for n, tau, d2, se, so in rank_blocks(lo, hi):
         g = np.gcd(se, so)
-        e, o = se // g, so // g
-        order = np.lexsort((o, e))  # stable: members ascend inside each class
-        n, e, o = n[order], e[order], o[order]
-        start = np.flatnonzero(np.r_[True, (e[1:] != e[:-1]) | (o[1:] != o[:-1]), True])
-        runs = np.argsort(n[start[:-1]])  # one run per class, by its first member
-        first, members = start[:-1][runs], n.tolist()
-        for s, t, num, den in block_rows((first, start[1:][runs], e[first], o[first])):
+        yield _grouped(n, se // g, so // g)
+
+
+def _spans(first, stop):
+    """The indices first[0] .. stop[0] - 1, then first[1] .. stop[1] - 1, ..., as one array."""
+    import numpy as np
+    length = stop - first
+    return np.repeat(first - np.cumsum(length) + length, length) + np.arange(length.sum())
+
+
+_NEXT_CLASS = b'],"%s":['  # the template's text before a class's first member
+
+
+def _member_text(members, opens):
+    """`members` in decimal, each after ",", or after _NEXT_CLASS where `opens` is set."""
+    import numpy as np
+    digits = np.searchsorted(10 ** np.arange(10), members, side="right")  # n < 2^31 < 10^10
+    width = digits + 1 + opens * (len(_NEXT_CLASS) - 1)
+    stop = np.cumsum(width)
+    text = np.full(stop[-1], ord(","), np.uint8)
+    text[(stop - width)[opens, None] + np.arange(len(_NEXT_CLASS))] = list(_NEXT_CLASS)
+    for k in range(1, digits.max() + 1):  # the k-th digit from the right of each member
+        has = digits >= k
+        text[(stop - k)[has]] = 48 + members[has] // 10 ** (k - 1) % 10
+    return text.tobytes().decode()
+
+
+def _gk_text(lo, hi):
+    """encode_fragment's bytes of _gk_chunk(lo, hi), from the same grouping: the blocks'
+    runs are grouped once more by class, the members written in decimal by numpy, and
+    the keys fill one % template; no list or dict of classes is made."""
+    import numpy as np
+    # each block's members run by run, and each run's size, e and o; runs ascend by first n
+    members, sizes, e, o = map(np.concatenate, zip(*(
+        (n[_spans(first, stop)], stop - first, e, o)
+        for n, first, stop, e, o in _class_blocks(lo, hi))))
+    ends = np.cumsum(sizes)
+    runs, head, tail, e, o = _grouped(np.arange(len(sizes)), e, o)  # a class's runs, in order
+    runs, length = runs[_spans(head, tail)], tail - head
+    members = members[_spans(ends[runs] - sizes[runs], ends[runs])]  # class by class
+    size = sizes[runs]
+    opens = np.zeros(len(members), bool)
+    opens[(np.cumsum(size) - size)[np.cumsum(length) - length]] = True  # each class's first
+    text = "".join(_member_text(members[i:i + _BLOCK], opens[i:i + _BLOCK])
+                   for i in range(0, len(members), _BLOCK))  # bounds the digit arrays
+    keys = tuple(map(_class_key, e.tolist(), o.tolist()))
+    return ('{"classes":{%s]}}' % text[2:] % keys).encode()
+
+
+def _gk_chunk(lo, hi, encode=False):
+    """The G_k fragment of [lo, hi]: its classes, each key entering at its smallest
+    member. With `encode`, the fragment's encode_fragment bytes instead (_gk_text)."""
+    if encode:
+        return _gk_text(lo, hi)
+    classes: dict[str, list[int]] = {}
+    for members, first, stop, e, o in _class_blocks(lo, hi):
+        members = members.tolist()
+        for s, t, num, den in block_rows((first, stop, e, o)):
             classes.setdefault(_class_key(num, den), []).extend(members[s:t])
     return {"classes": classes}
 
@@ -66,7 +135,7 @@ def _irn_chunk(lo, hi):
     return {"rows": rows}
 
 
-register_task("gk", _gk_chunk, {"classes": {}})
+register_task("gk", _gk_chunk, {"classes": {}}, encodes=True)
 register_task("irn", _irn_chunk, {"rows": []})
 
 

@@ -319,14 +319,29 @@ def render_irn(limit, rows, fmt):
 _EMIT_SLICE = 1 << 20  # characters emit encodes and writes at a time
 
 
+def _write_slices(fh, text):
+    for start in range(0, len(text), _EMIT_SLICE):
+        fh.write(text[start:start + _EMIT_SLICE])
+
+
 def emit(text, out_path):
     """Write `text` to `out_path`, or else to stdout, a slice at a time, so that no
-    encoded copy of the whole text is made."""
-    with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
-        for start in range(0, len(text), _EMIT_SLICE):
-            fh.write(text[start:start + _EMIT_SLICE])
-    if out_path:
-        print(f"wrote {out_path}", file=sys.stderr)
+    encoded copy of the whole text is made. A file is written whole as OUT.tmp and
+    renamed into place, so a write that fails leaves `out_path` as it was."""
+    if not out_path:
+        _write_slices(sys.stdout, text)
+        return
+    tmp = f"{out_path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            _write_slices(fh, text)
+        os.replace(tmp, out_path)
+    except OSError as exc:
+        raise OSError(exc.errno, f"cannot write {out_path}: {exc.strerror}") from exc
+    finally:  # a failed write, Ctrl-C included, leaves no tmp file; a renamed one is gone
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+    print(f"wrote {out_path}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------

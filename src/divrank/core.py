@@ -155,7 +155,7 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(_prime_pairs(n)))
 
 
-# kept only for perfbench's setup_s until ROADMAP item 1 re-points that metric;
+# kept only for perfbench's setup_s until ROADMAP item 15 re-points that metric;
 # importing divrank loads no numpy, so this import inside the function is what
 # keeps setup_s timing numpy's import together with the sieve
 def build_spf_sieve(limit: int):

@@ -8,7 +8,9 @@ append-only log: a header line, written alone before any pool opens, then a
 line per chunk; a fresh scan reads, appends to and removes it as a resume does.
 
 With a checkpoint, the process that computes a chunk also encodes its
-fragment, once, as the compact JSON its log line holds. run_scan alone folds
+fragment, once, as the compact JSON its log line holds: encode_fragment does it,
+or a task registered as encoding writes that text itself, from its own arrays
+(the G_k task), without building the fragment. run_scan alone folds
 fragments into state, the resumed ones first, and only in a call that finishes
 the scan: a run that `max_chunks` pauses appends its chunks' lines and decodes
 none of them, and load_checkpoint decodes a log's lines only to validate them.
@@ -40,9 +42,11 @@ _FRAGMENT_KEY = b',"fragment":'  # a chunk line's last key: the fragment's bytes
 # name -> (chunk_fn(lo, hi) -> fragment,
 #          merge_fn(state, fragment) -> state,
 #          empty_fn() -> state); fragments and state are JSON-safe. Under a
-# checkpoint, _run_chunk encodes chunk_fn's fragment in the process that ran it;
-# only run_scan calls merge_fn, on every chunk in order, in a call that finishes.
-# perfbench/traced_cli.py wraps these triples and reads chunk_fn.__module__.
+# checkpoint, _run_chunk encodes chunk_fn's fragment in the process that ran it,
+# or, if chunk_fn.encodes (register_task), takes chunk_fn(lo, hi, encode=True), the
+# same bytes built by the task; only run_scan calls merge_fn, on every chunk in
+# order, in a call that finishes. perfbench/traced_cli.py wraps these triples with
+# functools.wraps, which keeps the mark, and reads chunk_fn.__module__.
 _TASKS: dict[str, tuple] = {}
 
 
@@ -66,8 +70,13 @@ def merge_fragments(state, frag):
     return state
 
 
-def register_task(name, chunk_fn, empty):
-    """`empty` is the task's state before any chunk: every key its fragments carry."""
+def register_task(name, chunk_fn, empty, encodes=False):
+    """`empty` is the task's state before any chunk: every key its fragments carry.
+    A task that `encodes` builds its own log text: chunk_fn(lo, hi, encode=True) returns
+    encode_fragment's bytes of chunk_fn(lo, hi). The mark is an attribute of chunk_fn,
+    so a wrapper made by functools.wraps keeps it, and a plain wrapper drops it."""
+    if encodes:
+        chunk_fn.encodes = True
     _TASKS[name] = (chunk_fn, merge_fragments, lambda: copy.deepcopy(empty))
 
 
@@ -77,10 +86,14 @@ def encode_fragment(fragment):
 
 
 def _run_chunk(args):
-    """The chunk's fragment; encoded by encode_fragment if `encode`, in the process
-    that computed it, so the parent never serializes a fragment."""
+    """The chunk's fragment; if `encode`, its encode_fragment bytes, made in the process
+    that computed it, by the task itself if it encodes, so the parent never serializes
+    a fragment."""
     task, lo, hi, encode = args
-    fragment = _TASKS[task][0](lo, hi)
+    chunk_fn = _TASKS[task][0]
+    if encode and getattr(chunk_fn, "encodes", False):
+        return chunk_fn(lo, hi, encode=True)
+    fragment = chunk_fn(lo, hi)
     return encode_fragment(fragment) if encode else fragment
 
 

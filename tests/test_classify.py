@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 import os
 import time
@@ -139,6 +140,62 @@ class TestGroupedChunk:
     @pytest.mark.parametrize("lo, hi", [(1, 1), (1, 2), (KERNEL_BOUND - 2**12, KERNEL_BOUND - 1)])
     def test_edges(self, lo, hi):
         _assert_grouped_equals_per_n(lo, hi)
+
+
+def _assert_encoded_equals_per_n(lo, hi):
+    assert _gk_chunk(lo, hi, encode=True) == encode_fragment({"classes": _per_n_classes(lo, hi)})
+
+
+class TestEncodedChunk:
+    """Under a checkpoint, _gk_chunk builds its log text from the same grouping; its bytes
+    must be those of encode_fragment over the fragment that keying every n gives."""
+
+    @given(st.integers(min_value=1, max_value=10**7), st.integers(min_value=0, max_value=5000))
+    @settings(max_examples=40, deadline=None)
+    def test_windows(self, lo, width):
+        _assert_encoded_equals_per_n(lo, lo + width)
+
+    def test_default_chunk_over_two_blocks(self):
+        assert len(list(rank_blocks(1, 1 << 16))) == 2
+        _assert_encoded_equals_per_n(1, 1 << 16)
+
+    def test_class_joined_across_three_or_more_blocks(self):
+        hi = 4 << 15
+        assert [len(block[0]) for block in rank_blocks(1, hi)] == [1 << 15] * 4
+        _assert_encoded_equals_per_n(1, hi)
+        # "2" (2p for each odd prime p) has members in every block
+        assert {(m - 1) >> 15 for m in _per_n_classes(1, hi)["2"]} == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("lo, hi", [(1, 1), (1, 2), (KERNEL_BOUND - 2**12, KERNEL_BOUND - 1)])
+    def test_edges(self, lo, hi):
+        _assert_encoded_equals_per_n(lo, hi)
+
+    def test_a_wrapper_gets_the_same_bytes(self, monkeypatch):
+        # a functools.wraps wrapper, as the tracer's, keeps the mark; a plain one drops it
+        job, calls = ("gk", 1, 5000, True), []
+        chunk_fn, merge_fn, empty_fn = scanner._TASKS["gk"]
+
+        @functools.wraps(chunk_fn)
+        def traced(*args, **kwargs):
+            calls.append(kwargs)
+            return chunk_fn(*args, **kwargs)
+
+        texts = []
+        for wrapper in (traced, lambda lo, hi: chunk_fn(lo, hi)):
+            monkeypatch.setitem(scanner._TASKS, "gk", (wrapper, merge_fn, empty_fn))
+            texts.append(scanner._run_chunk(job))
+        assert calls == [{"encode": True}]
+        assert texts == [encode_fragment(_gk_chunk(1, 5000))] * 2
+
+    def test_paused_log_bytes_for_any_worker_count(self, tmp_path):
+        logs = []
+        for workers in (1, 2):
+            path = tmp_path / f"w{workers}.ck"
+            with pytest.raises(ScanInterrupted):
+                scan_range(1, 20000, workers=workers, chunk_size=4096, checkpoint=str(path),
+                           max_chunks=3)
+            logs.append(path.read_bytes())
+        assert logs[0] == logs[1] and logs[0].count(b"\n") == 4
 
 
 class TestClassOrder:

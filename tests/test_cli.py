@@ -458,6 +458,36 @@ class TestIOErrorsExit2:
         assert err.startswith("divrank: ") and len(err.splitlines()) == 1
         assert str(tmp_path / "missing" / "x") in err
 
+    def test_failed_write_leaves_the_old_file(self, capsys, monkeypatch, tmp_path):
+        # a 3-slice text whose second write fails, as on a full disk
+        out = tmp_path / "t.txt"
+        out.write_bytes(b"old table\n")
+        real_open, seen = open, []
+
+        class FullDisk:
+            def __init__(self, path, mode):
+                self.fh = real_open(path, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                seen.append(sorted(os.listdir(tmp_path)))
+                if len(seen) == 2:
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(text)
+
+        monkeypatch.setattr(cli, "_EMIT_SLICE", 64)
+        monkeypatch.setattr(cli, "open", FullDisk, raising=False)
+        code, stdout, err = run_cli(capsys, "irn", "--max", "200", "--out", str(out))
+        assert (code, stdout) == (2, "") and seen[1] == ["t.txt", "t.txt.tmp"]
+        assert err.startswith("divrank: ") and str(out) in err and "No space" in err
+        assert out.read_bytes() == b"old table\n"
+        assert os.listdir(tmp_path) == ["t.txt"]
+
 
 class TestOutAndDeterminism:
     def test_out_writes_payload(self, capsys, tmp_path):
